@@ -15,7 +15,7 @@ from typing import Optional
 from .bounds import euclidean_bound
 from .constants import point_constants
 from .errors import GeostabError
-from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, figure_sweep,
+from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, _fmt, figure_sweep,
                           get_example, jacobi_validation, numerical_hmax,
                           rows_to_csv, spec_grid, theory_bound, write_csv)
 
@@ -36,7 +36,6 @@ class RunConfig:
     alpha: Optional[float] = None
     base: Optional[tuple] = None  # (base1, base2 | None)
     grid: Optional[object] = None  # int or list of (base1, base2)
-    n_dirs: Optional[int] = None
     tol_h: float = 1e-6
     h_hi: float = 1e3
     out: Optional[str] = None
@@ -73,12 +72,6 @@ def _parse_epsilons(text: str) -> tuple:
     if not vals:
         raise ValueError("expected a comma-separated list of numbers")
     return vals
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return format(float(x), ".17g")
 
 
 def _base_point(family, base):
@@ -124,8 +117,8 @@ def _run_search(config: RunConfig) -> int:
     eps = config.epsilons[0]
     field = family.make_field(eps)
     p = _base_point(family, config.base)
-    h = numerical_hmax(field, family.manifold, p, n_dirs=config.n_dirs,
-                       h_hi=config.h_hi, tol_h=config.tol_h)
+    h = numerical_hmax(field, family.manifold, p, h_hi=config.h_hi,
+                       tol_h=config.tol_h)
     if math.isinf(h):
         print("h_numeric   unconditional (inf)")
     else:
@@ -138,8 +131,7 @@ def _run_figure(config: RunConfig) -> int:
     if isinstance(grid, tuple):
         grid = spec_grid(config.example, *grid)
     rows = figure_sweep(config.example, epsilons=config.epsilons,
-                        base_grid=grid, n_dirs=config.n_dirs,
-                        tol_h=config.tol_h)
+                        base_grid=grid, tol_h=config.tol_h)
     for row in rows:
         if not (row.h_theory <= row.h_numeric + SOUNDNESS_SLACK):
             print("soundness violation (h_theory > h_numeric):",
@@ -191,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--example", required=True,
                     choices=tuple(n for n in EXAMPLE_NAMES if n != "euclid"))
     add_common(sp, with_point=True)
-    sp.add_argument("--n-dirs", type=int, default=None)
     sp.add_argument("--tol-h", type=float, default=1e-6)
     sp.add_argument("--h-hi", type=float, default=1e3)
 
@@ -204,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=None,
                     help="base1 grid as start:stop:count, or a point count "
                          "for the family default")
-    sp.add_argument("--n-dirs", type=int, default=None)
     sp.add_argument("--tol-h", type=float, default=1e-6)
     sp.add_argument("--out", default=None, help="output CSV path")
 
@@ -237,7 +227,6 @@ def _config_from_args(parser, args) -> RunConfig:
                      epsilons=epsilons,
                      alpha=getattr(args, "alpha", None),
                      base=base, grid=grid,
-                     n_dirs=getattr(args, "n_dirs", None),
                      tol_h=tol_h,
                      h_hi=getattr(args, "h_hi", 1e3),
                      out=getattr(args, "out", None),

@@ -10,15 +10,14 @@ The registry EXAMPLES holds four named field families:
                    covariant derivative is singular.
 
 For each family the module can compute the largest empirically
-non-expansive step at a base point (by sweeping variation directions and
-bisecting in h), the certified step of the matching rule from pointwise
+non-expansive step at a base point (by bisecting in h on the exact worst
+direction, the largest eigenvalue of the step-variation form), the
+certified step of the matching rule from pointwise
 constants, and CSV comparison tables over parameter grids.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -31,8 +30,8 @@ from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
 from .integrators import expansivity_ratio, gee_step
-from .jacobi import (CurvatureSign, curvature_sign, f_functions,
-                     gee_jacobi_data, jacobi_norm)
+from .jacobi import (CurvatureSign, curvature_sign, gee_jacobi_data,
+                     jacobi_norm, variation_form)
 from .manifolds import (HALF_PLANE, SPHERE2, SPHERE3, ChartPoint,
                         ManifoldModel)
 
@@ -40,22 +39,11 @@ CSV_HEADER = "example,epsilon,base1,base2,h_numeric,h_theory,kappa_at_h,binding"
 
 DEFAULT_EPSILONS = (0.5, 1.0, 2.0)
 DEFAULT_GRID = 40
-DEFAULT_DIRS = {2: 512, 3: 2048}
 DEFAULT_H_CAP = 1e3
-REFINE_POINTS = 17  # fine grid per refinement pass, spacing / 8
 CROSS_CHECK_RTOL = 1e-8
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
 #                    near 1e-15; genuine couplings are order one)
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("GEOSTAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 # -- example registry --------------------------------------------------------
@@ -199,26 +187,13 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _cap_grid(center: np.ndarray, half_width: float,
-              n: int = REFINE_POINTS) -> np.ndarray:
-    """Unit vectors covering a spherical cap around center (dim 3)."""
-    helper = (np.array([1.0, 0.0, 0.0]) if abs(center[0]) < 0.9
-              else np.array([0.0, 1.0, 0.0]))
-    t1 = np.cross(center, helper)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(center, t1)
-    off = np.linspace(-half_width, half_width, n)
-    o1, o2 = np.meshgrid(off, off)
-    pts = (center + o1.ravel()[:, None] * t1 + o2.ravel()[:, None] * t2)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
 class _SweepKernel:
-    """Per-point data reused across the many Δ evaluations of a sweep.
+    """Per-point data of the step-variation form.
 
     Works in frame coefficients: for a unit direction ξ the induced
     variation has initial value ξ and initial derivative h N ξ with
-    N = Eᵀ g A E, so everything downstream is a small matrix product.
+    N = Eᵀ g A E, so its squared-norm change is Δ(h, ξ) = ξᵀ M(h) ξ with
+    M(h) = variation_form(I, h N, h * scale).
     """
 
     def __init__(self, field: FieldModel, manifold: ManifoldModel,
@@ -236,132 +211,65 @@ class _SweepKernel:
         # dust in a block that is analytically zero (the chart
         # arithmetic of Gamma.X leaves ~1e-16 residue) would masquerade
         # as exponential growth.  A block whose norm is rounding-small
-        # relative to the whole matrix is therefore pinned to zero.
-        self._row0_zero = False
-        self._perp_aligned = False
+        # relative to the whole matrix is therefore snapped to its exact
+        # value: a zero first row, or perpendicular rows equal to
+        # -scale times the identity, which cancels the growth term.
         if self.sign is CurvatureSign.NEGATIVE:
             R = self.N / self.scale
             gauge = 1.0 + float(np.linalg.norm(R))
             perp = R[1:, :].copy()
             perp[:, 1:] += np.eye(self.dim - 1)
-            self._perp_aligned = (
-                float(np.linalg.norm(perp)) <= ALIGN_TOL * gauge)
-            self._row0_zero = (
-                float(np.linalg.norm(R[0, :])) <= ALIGN_TOL * gauge)
+            if float(np.linalg.norm(perp)) <= ALIGN_TOL * gauge:
+                self.N[1:, 0] = 0.0
+                self.N[1:, 1:] = -self.scale * np.eye(self.dim - 1)
+            if float(np.linalg.norm(R[0, :])) <= ALIGN_TOL * gauge:
+                self.N[0, :] = 0.0
 
-    def delta(self, h: float, Xi: np.ndarray) -> np.ndarray:
-        """Squared-norm change of the step variation per direction row.
+    def matrix(self, h: float) -> np.ndarray:
+        """The symmetric matrix M(h) of Δ(h, ·)."""
+        return variation_form(np.eye(self.dim), h * self.N, h * self.scale,
+                              self.sign)
 
-        On negatively curved models each cross component is evaluated as
-        expm1(2k)/4 (ξ+T)² + expm1(-2k)/4 (ξ-T)² with T = Nξ/scale,
-        which is algebraically equal to the f-function form but stays
-        accurate when the hyperbolic functions reach the e^(2k) scale.
-        """
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        if self.sign is CurvatureSign.NEGATIVE:
-            kappa = h * self.scale
-            T = Xi @ self.N.T / self.scale
-            if self._row0_zero:
-                flat1 = np.zeros(len(Xi))
-            else:
-                flat1 = ((kappa * T[:, 0]) ** 2
-                         + 2.0 * kappa * Xi[:, 0] * T[:, 0])
-            if self._perp_aligned:
-                psq = np.zeros(len(Xi))
-            else:
-                psq = np.sum((Xi[:, 1:] + T[:, 1:]) ** 2, axis=1)
-            msq = np.sum((Xi[:, 1:] - T[:, 1:]) ** 2, axis=1)
-            em = math.expm1(-2.0 * kappa) / 4.0
-            if kappa > 350.0:
-                grow = np.where(psq > 0.0, math.inf, 0.0)
-            else:
-                grow = (math.expm1(2.0 * kappa) / 4.0) * psq
-            return flat1 + grow + em * msq
-        B = h * (Xi @ self.N.T)
-        kappa = h * self.scale
-        f1, f2, f3 = f_functions(kappa, self.sign)
-        return (np.sum(B * B, axis=1) + 2.0 * np.sum(Xi * B, axis=1)
-                - self.sign.value * (
-                    f1 * np.sum(Xi[:, 1:] ** 2, axis=1)
-                    + 2.0 * f2 * np.sum(Xi[:, 1:] * B[:, 1:], axis=1)
-                    + f3 * np.sum(B[:, 1:] ** 2, axis=1)))
-
-    def max_delta(self, h: float, n_dirs: int) -> float:
-        """Largest Δ over the direction grid, refined around the argmax.
-
-        Two refinement passes shrink the grid spacing by 8 each time, so
-        the returned maximum tracks the continuum worst direction far
-        below the bisection tolerance in h.
-        """
-        Xi = unit_directions(self.dim, n_dirs)
-        vals = self.delta(h, Xi)
-        best = int(np.argmax(vals))
-        out = float(vals[best])
-        if self.dim == 2:
-            width = 2.0 * np.pi / n_dirs
-            ang0 = math.atan2(Xi[best, 1], Xi[best, 0])
-            for _ in range(2):
-                ang = ang0 + np.linspace(-width, width, REFINE_POINTS)
-                fine = np.column_stack([np.cos(ang), np.sin(ang)])
-                vals = self.delta(h, fine)
-                k = int(np.argmax(vals))
-                out = max(out, float(vals[k]))
-                ang0 = float(ang[k])
-                width /= 8.0
-        elif self.dim == 3:
-            width = math.sqrt(4.0 * np.pi / n_dirs)
-            center = Xi[best]
-            for _ in range(2):
-                fine = _cap_grid(center, width)
-                vals = self.delta(h, fine)
-                k = int(np.argmax(vals))
-                out = max(out, float(vals[k]))
-                center = fine[k]
-                width /= 8.0
-        return out
+    def worst(self, h: float) -> float:
+        """Largest Δ over unit directions: λ_max of M(h), by the
+        Rayleigh quotient."""
+        return float(np.linalg.eigvalsh(self.matrix(h))[-1])
 
 
 def sweep_deltas(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
                  h: float, directions) -> np.ndarray:
     """Δ values for explicit frame-coefficient directions (rows)."""
-    return _SweepKernel(field, manifold, p).delta(h, directions)
+    Xi = np.atleast_2d(np.asarray(directions, dtype=float))
+    M = _SweepKernel(field, manifold, p).matrix(h)
+    return np.einsum("ij,jk,ik->i", Xi, M, Xi)
 
 
 def direction_sweep_delta(field: FieldModel, manifold: ManifoldModel,
-                          p: ChartPoint, h: float,
-                          n_dirs: Optional[int] = None) -> float:
+                          p: ChartPoint, h: float) -> float:
     """Worst squared-distance change of one explicit step at p.
 
-    Sweeps unit perturbation directions (512 angles in dimension two,
-    a 2048-point Fibonacci sphere in dimension three, refined around the
-    argmax) and returns the largest predicted |J(1)|² - |J(0)|² of the
-    induced variation; nonpositive means the step is locally
-    non-expansive in every sampled direction.
+    Returns the largest |J(1)|² - |J(0)|² over unit perturbation
+    directions, exactly: the largest eigenvalue of the step-variation
+    form (scaled by a positive factor beyond kappa = 350, see
+    variation_form).  Nonpositive means the step is locally
+    non-expansive in every direction.
     """
-    kernel = _SweepKernel(field, manifold, p)
-    if n_dirs is None:
-        n_dirs = DEFAULT_DIRS.get(kernel.dim, 512)
-    return kernel.max_delta(h, n_dirs)
+    return _SweepKernel(field, manifold, p).worst(h)
 
 
 def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
-                   n_dirs: Optional[int] = None, h_lo: float = 1e-6,
-                   h_hi: float = DEFAULT_H_CAP, tol_h: float = 1e-6) -> float:
-    """Largest step for which the direction sweep stays nonpositive.
+                   h_lo: float = 1e-6, h_hi: float = DEFAULT_H_CAP,
+                   tol_h: float = 1e-6) -> float:
+    """Largest step whose worst-direction Δ stays nonpositive.
 
     Bisects (to relative width tol_h) between a non-expansive h_lo and
-    an expansive step bracketed by doubling, and returns the certified
-    nonpositive end of the final bracket.  When even h_hi is not
-    expansive the step is unconditionally stable as far as the sweep can
-    tell and math.inf is returned.
+    an expansive step bracketed by doubling, and returns the
+    nonpositive end of the final bracket, so the worst Δ changes sign
+    within relative tol_h above it.  When even h_hi is not expansive
+    the step is unconditionally stable up to h_hi and math.inf is
+    returned.
     """
-    kernel = _SweepKernel(field, manifold, p)
-    if n_dirs is None:
-        n_dirs = DEFAULT_DIRS.get(kernel.dim, 512)
-
-    def worst(h):
-        return kernel.max_delta(h, n_dirs)
-
+    worst = _SweepKernel(field, manifold, p).worst
     if worst(h_lo) > 0.0:
         raise BracketError(f"step already expansive at h_lo = {h_lo:g}")
     if worst(h_hi) <= 0.0:
@@ -455,42 +363,29 @@ class SweepRow:
 
 
 def _sweep_row(family: ExampleFamily, eps: float, b1: float,
-               b2: Optional[float], n_dirs: Optional[int],
-               tol_h: float) -> SweepRow:
+               b2: Optional[float], tol_h: float) -> SweepRow:
     field = family.make_field(eps)
     p = family.manifold.point(family.to_coords(b1, b2))
     res = theory_bound(family.name, eps, p)
-    h_num = numerical_hmax(field, family.manifold, p, n_dirs=n_dirs,
-                           tol_h=tol_h)
+    h_num = numerical_hmax(field, family.manifold, p, tol_h=tol_h)
     return SweepRow(example=family.name, epsilon=eps, base1=b1, base2=b2,
                     h_numeric=h_num, h_theory=res.h_max,
                     kappa_at_h=res.kappa_at_h, binding=res.binding)
 
 
 def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
-                 base_grid=DEFAULT_GRID, n_dirs: Optional[int] = None,
-                 tol_h: float = 1e-6) -> list:
+                 base_grid=DEFAULT_GRID, tol_h: float = 1e-6) -> list:
     """Empirical versus certified step over a grid of base points.
 
     base_grid is either a point count for the family's default grid or
     an explicit list of (base1, base2) pairs.  Rows are ordered by
-    (epsilon, grid index) regardless of the worker count, so repeated
-    runs produce identical tables.
+    (epsilon, grid index), so repeated runs produce identical tables.
     """
     family = get_example(example)
     if isinstance(base_grid, int):
         base_grid = family.default_grid(base_grid)
-    tasks = [(eps, b1, b2) for eps in epsilons for (b1, b2) in base_grid]
-
-    def run(task):
-        eps, b1, b2 = task
-        return _sweep_row(family, eps, b1, b2, n_dirs, tol_h)
-
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, tasks))
-    return [run(t) for t in tasks]
+    return [_sweep_row(family, eps, b1, b2, tol_h)
+            for eps in epsilons for (b1, b2) in base_grid]
 
 
 def _fmt(x: float) -> str:

@@ -9,14 +9,15 @@ in a parallel orthonormal frame e_1(t), ..., e_d(t) with e_1 = u/|u| as
 where c(t), s(t) are cosine-like and sine-like functions of kappa*t and
 kappa = sqrt(|rho|)*|u|.  The module provides c, s, the associated scalar
 functions f1, f2, f3 of kappa, the end-to-end norm difference
-|J(1)|^2 - |J(0)|^2, and the variation data generated by one explicit
-geodesic Euler step.
+|J(1)|^2 - |J(0)|^2 as one quadratic form in the frame coefficients, and
+the variation data generated by one explicit geodesic Euler step.
 
 Near kappa = 0 the f-functions suffer catastrophic cancellation; below
 1e-4 they switch to series evaluation.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import GeostabError
 from .manifolds import ChartPoint, Frame, TangentVector
 
 SERIES_KAPPA = 1e-4
+SPLIT_KAPPA = 1.0
+GROWTH_KAPPA_CAP = 350.0  # expm1(2*kappa) leaves the double range near 354.9
 
 
 class CurvatureSign(enum.Enum):
@@ -193,19 +196,60 @@ def variation_data(v: TangentVector, w: TangentVector,
     return JacobiData(a, b, kappa, curvature_sign(model.rho))
 
 
+def _sym(x):
+    return x + x.T
+
+
+def _gram(x):
+    return x.T @ x
+
+
+def variation_form(a, b, kappa: float, sign: CurvatureSign):
+    """|J(1)|^2 - |J(0)|^2 as a quadratic form in the frame coefficients.
+
+    a and b hold the coefficients of J(0) and of its covariant rate at
+    t = 0.  Given vectors, the result is the change of that one
+    variation.  Given d x k matrices whose columns are k variations, it
+    is the symmetric k x k matrix M of the form: the variation with
+    coefficients (a x, b x) changes by x^T M x.  With a = I the largest
+    eigenvalue of M is the worst change over unit directions.
+
+    The form is |b|^2 + 2<a,b> - s(rho) * sum_{i>=2} (a_i^2 f1
+    + 2 a_i b_i f2 + b_i^2 f3).  On negative curvature from kappa = 1
+    on, where e^(2k) starts to amplify rounding residue, each cross
+    component is evaluated as the algebraically equal split
+    expm1(2k)/4 (a_i + b_i/k)^2 + expm1(-2k)/4 (a_i - b_i/k)^2, so a
+    growth term that cancels exactly (a_i + b_i/k = 0) stays zero.
+    Below kappa = 1 the split would lose digits to the b_i/k terms when
+    b is much larger than k*a.  Beyond kappa = 350, where e^(2k) leaves
+    the double range, the whole form is scaled by the positive factor
+    e^(-2(kappa - 350)), which keeps its sign and the sign of every
+    eigenvalue.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if sign is CurvatureSign.NEGATIVE and kappa >= SPLIT_KAPPA:
+        t = b[1:] / kappa
+        excess = max(kappa - GROWTH_KAPPA_CAP, 0.0)
+        rest = (_gram(b[:1]) + _sym(a[:1].T @ b[:1])
+                + math.expm1(-2.0 * kappa) / 4.0 * _gram(a[1:] - t))
+        out = (math.exp(-2.0 * excess) * rest
+               + math.expm1(2.0 * (kappa - excess)) / 4.0
+               * _gram(a[1:] + t))
+    else:
+        f1, f2, f3 = f_functions(kappa, sign)
+        out = _gram(b) + _sym(a.T @ b) - sign.value * (
+            f1 * _gram(a[1:]) + f2 * _sym(a[1:].T @ b[1:])
+            + f3 * _gram(b[1:]))
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def norm_diff(v: TangentVector, w: TangentVector, u: TangentVector) -> float:
     """|J(1)|^2 - |J(0)|^2 for the variation with J(0) = v, covariant
-    rate w at t = 0, along the geodesic with initial velocity u.
-
-    Evaluates |w|^2 + 2<v,w> - s(rho) * sum_{i>=2} (a_i^2 f1
-    + 2 a_i b_i f2 + b_i^2 f3) in a frame aligned with u.
-    """
+    rate w at t = 0, along the geodesic with initial velocity u; see
+    variation_form."""
     data = variation_data(v, w, u)
-    a, b = data.a, data.b
-    f1, f2, f3 = f_functions(data.kappa, data.sign)
-    cross = float(a[1:] @ a[1:] * f1 + 2.0 * (a[1:] @ b[1:]) * f2
-                  + b[1:] @ b[1:] * f3)
-    return float(b @ b + 2.0 * (a @ b) - data.sign.value * cross)
+    return variation_form(data.a, data.b, data.kappa, data.sign)
 
 
 def jacobi_coeffs(data: JacobiData, t: float) -> np.ndarray:

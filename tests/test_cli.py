@@ -78,7 +78,7 @@ def test_bound_bad_point_is_runtime_error(capsys):
 
 def test_search_prints_numeric_step(capsys):
     code, out, _ = run_cli(["search", "--example", "s2", "--point", "0.9",
-                            "--n-dirs", "64", "--tol-h", "1e-4"], capsys)
+                            "--tol-h", "1e-4"], capsys)
     assert code == 0
     value = float(out.split()[-1])
     assert 0.0 < value < 10.0
@@ -88,6 +88,14 @@ def test_search_singular_is_unconditional(capsys):
     code, out, _ = run_cli(["search", "--example", "h2-singular"], capsys)
     assert code == 0
     assert "h_numeric   unconditional (inf)" in out
+
+
+def test_direction_count_flag_is_gone(capsys):
+    """The worst direction is exact, so no direction count is taken."""
+    for command in ("search", "figure"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--example", "s2", "--n-dirs", "64"])
+        assert info.value.code == 2
 
 
 def test_search_rejects_nonpositive_tolerance(capsys):
@@ -103,7 +111,7 @@ def test_search_rejects_nonpositive_tolerance(capsys):
 
 def figure_args(out_path):
     return ["figure", "--example", "s2", "--epsilon", "1",
-            "--grid", "0.8:1.2:3", "--n-dirs", "64", "--tol-h", "1e-4",
+            "--grid", "0.8:1.2:3", "--tol-h", "1e-4",
             "--out", str(out_path)]
 
 
@@ -127,8 +135,8 @@ def test_figure_reruns_byte_identical(tmp_path, capsys):
 def test_figure_default_output_name(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(["figure", "--example", "h2", "--epsilon", "1",
-                            "--grid", "1:2:2", "--n-dirs", "64",
-                            "--tol-h", "1e-4"], capsys)
+                            "--grid", "1:2:2", "--tol-h", "1e-4"],
+                           capsys)
     assert code == 0
     assert (tmp_path / "h2.csv").exists()
 

@@ -1,13 +1,18 @@
 """Direction sweeps, empirical step limits, comparison tables, CSV I/O.
 
-Oracles: the parallelogram law for the quadratic variation form, actual
-two-point contraction ratios of the stepper, and exact CSV round-trips.
+Oracles: the parallelogram law for the quadratic variation form, the
+refined sampled direction sweep, scipy maximisation of the closed-form
+variation norm over direction angles, actual two-point contraction
+ratios of the stepper, and exact CSV round-trips.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from geostab.errors import BracketError, GeostabError, InconsistentConstantsError
 from geostab.experiments import (
@@ -28,8 +33,10 @@ from geostab.experiments import (
     unit_directions,
     write_csv,
 )
+from geostab.jacobi import gee_jacobi_data, jacobi_norm
 
 from conftest import make_field
+from oracles import refined_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +142,78 @@ def test_sweep_delta_negative_for_small_h():
 
 
 def test_numerical_hmax_direction_count_stability():
+    """Refined sampled sweeps of 512 and 1024 directions both place the
+    step limit within relative 5e-6 of the exact one."""
     field = make_field("s2", eps=1.0)
     m = field.manifold
     p = m.point((0.9, 0.0))
-    a = numerical_hmax(field, m, p, n_dirs=512)
-    b = numerical_hmax(field, m, p, n_dirs=1024)
-    assert abs(a - b) <= 5e-6 * a
+    h = numerical_hmax(field, m, p)
+    for n_dirs in (512, 1024):
+        assert refined_sweep(field, m, p, h, n_dirs).max() <= 1e-12
+        assert refined_sweep(field, m, p, h * (1.0 + 5e-6), n_dirs).max() > 0
+
+
+def test_numerical_hmax_exact_to_tol_h():
+    """At an s3 point where the sampled sweep overshot the limit by
+    relative 7.5e-6, an independent maximisation of |J(1)|^2 - 1 over
+    direction angles stays nonpositive at numerical_hmax and turns
+    positive within twice the stated tol_h above it."""
+    family = get_example("s3")
+    m = family.manifold
+    field = family.make_field(1.0)
+    p = m.point(family.to_coords(0.4571428571428571, 0.3))
+    E = m.frame(p, field.eval(p)).matrix
+    tol_h = 1e-6
+
+    def growth(angles, h):
+        th, ph = angles
+        xi = np.array([math.sin(th) * math.cos(ph),
+                       math.sin(th) * math.sin(ph), math.cos(th)])
+        data = gee_jacobi_data(field, p, m.tangent(p, E @ xi), h)
+        return jacobi_norm(data, 1.0) ** 2 - 1.0
+
+    def worst(h):
+        # Δ(ξ) = Δ(-ξ): a half sphere of starting points suffices
+        grid = [(th, ph) for th in np.linspace(0.0, math.pi, 33)
+                for ph in np.linspace(0.0, math.pi, 32, endpoint=False)]
+        start = max(grid, key=lambda a: growth(a, h))
+        res = minimize(lambda a: -growth(a, h), start, method="Nelder-Mead",
+                       options={"xatol": 1e-9, "fatol": 1e-15,
+                                "maxiter": 4000})
+        return max(-res.fun, growth(start, h))
+
+    h = numerical_hmax(field, m, p, tol_h=tol_h)
+    assert worst(h) <= 1e-12
+    assert worst(h * (1.0 + 2.0 * tol_h)) > 0.0
+
+
+SAMPLE_BOXES = {
+    "s2": ((0.25, 1.3), (0.0, 2.0 * np.pi)),
+    "h2": ((-2.0, 2.0), (0.2, 5.0)),
+    "s3": ((0.3, 1.4), (0.3, 1.4), (0.0, 2.0 * np.pi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_BOXES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), eps=st.floats(0.5, 2.0),
+       kappa=st.floats(1e-3, 20.0))
+def test_exact_worst_direction_bounds_refined_sweep(name, data, eps, kappa):
+    """λ_max dominates every sampled Δ up to rounding and matches the
+    refined sampled maximum to 1e-6 of the form's scale, at random
+    points, ε and steps with curvature scale κ up to 20."""
+    coords = tuple(data.draw(st.floats(lo, hi), label=f"coord{i}")
+                   for i, (lo, hi) in enumerate(SAMPLE_BOXES[name]))
+    field = make_field(name, eps=eps)
+    m = field.manifold
+    p = m.point(coords)
+    h = kappa / (field.norm_at(p) * math.sqrt(abs(m.rho)))
+    lam = direction_sweep_delta(field, m, p, h)
+    sampled = refined_sweep(field, m, p, h)
+    scale = float(np.max(np.abs(sampled)))
+    assert math.isfinite(lam)
+    assert lam >= sampled.max() - 1e-12 * scale
+    assert lam - sampled.max() <= 1e-6 * scale
 
 
 def test_numerical_hmax_is_boundary_of_nonexpansive_steps():
@@ -180,8 +253,20 @@ def test_singular_family_immune_to_chart_rounding_dust():
     m = field.manifold
     for coords in ((1.5, 0.4), (0.77, 2.31), (-0.3, 0.123)):
         p = m.point(coords)
-        assert direction_sweep_delta(field, m, p, 100.0) <= 0.0
+        for h in (100.0, 1e3):  # kappa = h here, beyond 350 at 1e3
+            assert direction_sweep_delta(field, m, p, h) <= 0.0
         assert numerical_hmax(field, m, p) == math.inf
+
+
+def test_direction_sweep_delta_beyond_growth_overflow():
+    """At kappa > 350, where e^(2 kappa) leaves the double range, the
+    expansive h2 field still reports a positive, finite worst Δ."""
+    field = make_field("h2", eps=1.0)
+    m = field.manifold
+    p = m.point((0.0, 1.0))
+    assert 1e3 * field.norm_at(p) > 350.0
+    worst = direction_sweep_delta(field, m, p, 1e3)
+    assert math.isfinite(worst) and worst > 0.0
 
 
 def test_numerical_hmax_bad_bracket():
@@ -235,8 +320,7 @@ def test_theory_bound_sound_for_each_family():
 
 def small_sweep():
     return figure_sweep("s2", epsilons=(0.5, 1.0),
-                        base_grid=[(0.8, None), (1.2, None)],
-                        n_dirs=64, tol_h=1e-4)
+                        base_grid=[(0.8, None), (1.2, None)], tol_h=1e-4)
 
 
 def test_figure_sweep_rows_ordered_and_sound():
@@ -249,16 +333,8 @@ def test_figure_sweep_rows_ordered_and_sound():
         assert r.binding in ("flat", "kappa-cap", "curvature")
 
 
-def test_figure_sweep_deterministic_across_worker_counts(monkeypatch):
-    text1 = rows_to_csv(small_sweep())
-    monkeypatch.setenv("GEOSTAB_THREADS", "4")
-    text2 = rows_to_csv(small_sweep())
-    assert text1 == text2
-
-
 def test_figure_sweep_grid_count_uses_family_default():
-    rows = figure_sweep("h2", epsilons=(1.0,), base_grid=3, n_dirs=64,
-                        tol_h=1e-4)
+    rows = figure_sweep("h2", epsilons=(1.0,), base_grid=3, tol_h=1e-4)
     assert len(rows) == 3
     assert rows[0].base1 == pytest.approx(0.2)
     assert rows[-1].base1 == pytest.approx(5.0)

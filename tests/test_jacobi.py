@@ -30,6 +30,7 @@ from geostab.jacobi import (
     norm_diff,
     sk,
     variation_data,
+    variation_form,
 )
 from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3, Euclidean, Frame
 from geostab.odes import BatchVariationState, integrate_batch
@@ -378,6 +379,37 @@ def test_norm_diff_matches_variation_ode(model, count, rng):
         got = norm_diff(vs[i], ws[i], us[i])
         scale = max(1.0, abs(want[i]))
         assert abs(got - want[i]) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("kappa", [1e-8, 1e-4, 0.5, 1.0, 2.0, 40.0])
+def test_variation_form_negative_branch_against_mpmath(kappa, rng):
+    """Both sides of the kappa = 1 switch to the expm1 split stay
+    accurate with rates b much larger than kappa * a, where the split
+    alone would lose digits at small kappa."""
+    mp.mp.dps = 60 + int(kappa)
+    k = mp.mpf(kappa)
+    c, s = mp.cosh(k), mp.sinh(k) / k
+    for _ in range(20):
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        am, bm = [mp.mpf(float(x)) for x in a], [mp.mpf(float(x)) for x in b]
+        want = float((am[0] + bm[0]) ** 2 - am[0] ** 2 + sum(
+            (am[i] * c + bm[i] * s) ** 2 - am[i] ** 2 for i in (1, 2)))
+        got = variation_form(a, b, kappa, NEG)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("sign", [POS, NEG, ZERO], ids=["pos", "neg", "zero"])
+@pytest.mark.parametrize("kappa", [0.3, 5.0, 400.0])
+def test_variation_form_matrix_matches_vectors(sign, kappa, rng):
+    """With a = I and b = B the matrix form reproduces the change of
+    every single variation (x, B x), including the rescaled form
+    beyond kappa = 350."""
+    B = rng.normal(size=(3, 3))
+    M = variation_form(np.eye(3), B, kappa, sign)
+    assert np.allclose(M, M.T, rtol=1e-15, atol=0.0)
+    for x in rng.normal(size=(5, 3)):
+        want = variation_form(x, B @ x, kappa, sign)
+        assert abs(x @ M @ x - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_norm_diff_flat_case_exact(rng):
