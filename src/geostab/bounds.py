@@ -24,8 +24,8 @@ from .constants import RegionConstants
 from .errors import GeostabError, InconsistentConstantsError, NoBoundError
 from .jacobi import CurvatureSign, _sinhc, curvature_penalty, f_functions
 
-BISECT_STEPS = 200
 R_TOL = 1e-12
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,11 @@ def euclidean_bound(alpha: float) -> BoundResult:
                        kappa_at_h=0.0)
 
 
-def _bisect_nonpositive(F, lo: float, hi: float) -> float:
-    """Largest h in [lo, hi] with F(h) <= 0, given F(lo) <= 0 < F(hi)."""
-    for _ in range(BISECT_STEPS):
+def _bisect_nonpositive(F, lo: float, hi: float, rtol: float) -> float:
+    """Largest h in [lo, hi] with F(h) <= 0, given F(lo) <= 0 < F(hi),
+    bisected until the bracket is narrower than rtol * hi (rtol = 0
+    bisects to the last bit)."""
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -89,7 +91,7 @@ def bound_positive(consts: RegionConstants) -> BoundResult:
         binding = "flat" if 2.0 * alpha <= cap else "kappa-cap"
         h = ceiling
     else:
-        h = _bisect_nonpositive(F, 0.0, ceiling)
+        h = _bisect_nonpositive(F, 0.0, ceiling, 0.0)
         binding = "curvature"
     return BoundResult(h_max=h, rule="positive", binding=binding,
                        kappa_at_h=h * scale)
@@ -124,42 +126,55 @@ def _negative_rhs(kappa, alpha, mu_minus, damping):
         alpha * _kappa_coth(kappa) - mu_minus * _damped_penalty(kappa))
 
 
-def _min_on_interval(f, hi: float, n_grid: int = 2001):
-    """Minimum of a smooth scalar function on [0, hi] by dense grid plus
-    local golden-section refinement."""
-    if hi <= 0.0:
-        return float(f(np.zeros(1))[0])
-    grid = np.linspace(0.0, hi, n_grid)
+def _grid_min(f, lo: float, hi: float, n_grid: int):
+    """Minimum of a continuous function on [lo, hi] by a dense grid plus
+    golden-section refinement between the best grid point's neighbours.
+
+    f is vectorised.  Returns (value, argument); on ties the grid point
+    wins, so a minimum at lo is reported at lo exactly.
+    """
+    grid = np.linspace(lo, hi, n_grid)
     vals = f(grid)
     i = int(np.argmin(vals))
-    best = float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    up = grid[min(i + 1, n_grid - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, up
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(f(np.array([c]))[0])
-    fd = float(f(np.array([d]))[0])
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, n_grid - 1)])
+
+    def at(x):
+        return float(f(np.array([x]))[0])
+
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = at(c), at(d)
     for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(f(np.array([c]))[0])
+            c = b - INVPHI * (b - a)
+            fc = at(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(f(np.array([d]))[0])
-    return min(best, fc, fd)
+            d = a + INVPHI * (b - a)
+            fd = at(d)
+    return min([(float(vals[i]), float(grid[i])), (fc, c), (fd, d)],
+               key=lambda t: t[0])
 
 
 def bound_negative(consts: RegionConstants) -> BoundResult:
     """Step rule on negatively curved models.
 
-    Certifies h whenever h <= rhs(kappa) for every kappa in
-    [0, h*C*sqrt(|rho|)], where rhs combines the cocoercivity gain
+    Certifies h whenever h <= rhs(kappa) for every kappa in [0, h*s],
+    s = C*sqrt(|rho|), where rhs combines the cocoercivity gain
     kappa*coth(kappa) with the damped curvature penalty.  The largest
-    such h is found by bisection with an inner minimization.
+    such h is one min-max over kappa in [0, flat*s], flat = rhs(0):
+
+        h_max = min phi,  phi(kappa) = max(rhs(kappa), kappa/s).
+
+    * A certified h has rhs >= h on [0, h*s] and kappa/s > h beyond, so
+      phi >= h everywhere.
+    * h = min phi has rhs >= h wherever kappa/s < h, and at kappa = h*s
+      by continuity (else phi would dip below h just left of it).
+    * phi(0) = flat and phi >= kappa/s, so kappa > flat*s never matters.
+
+    A minimum at kappa = 0 or not below flat reports the flat binding.
     """
     if consts.rho >= 0:
         raise GeostabError("negative-curvature rule needs rho < 0")
@@ -177,18 +192,15 @@ def bound_negative(consts: RegionConstants) -> BoundResult:
     damping = (sigma * scale) ** 2
     flat = 2.0 * alpha / (1.0 + damping)
 
-    def worst(h):
-        return _min_on_interval(
-            lambda k: _negative_rhs(k, alpha, mu, damping), h * scale)
+    def phi(k):
+        return np.maximum(_negative_rhs(k, alpha, mu, damping), k / scale)
 
-    def F(h):
-        return h - worst(h)
-
-    if F(flat) <= 0.0:
+    worst, kappa = _grid_min(phi, 0.0, flat * scale, 2001)
+    if kappa == 0.0 or worst >= flat:
         h = flat
         binding = "flat"
     else:
-        h = _bisect_nonpositive(F, 0.0, flat)
+        h = worst
         binding = "curvature"
     return BoundResult(h_max=h, rule="negative", binding=binding,
                        kappa_at_h=h * scale)
@@ -217,11 +229,8 @@ def bound_singular(consts: RegionConstants, x_norm_range) -> BoundResult:
         raise GeostabError("field norm range must be positive")
     root = math.sqrt(-consts.rho)
 
-    def ratio(c):
-        return (1.0 + (c * root * sigma) ** 2) / (2.0 * alpha * c * root)
-
     def certified(c):
-        R = ratio(c)
+        R = (1.0 + (c * root * sigma) ** 2) / (2.0 * alpha * c * root)
         if R < 1.0 - R_TOL:
             raise InconsistentConstantsError(
                 f"certified ratio {R:.12g} < 1 contradicts alpha <= sigma")
@@ -234,26 +243,8 @@ def bound_singular(consts: RegionConstants, x_norm_range) -> BoundResult:
         h = certified(lo)
         c_star = lo
     else:
-        grid = np.linspace(lo, hi, 512)
-        vals = [certified(float(c)) for c in grid]
-        i = int(np.argmin(vals))
-        a = float(grid[max(i - 1, 0)])
-        b = float(grid[min(i + 1, len(grid) - 1)])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = certified(c), certified(d)
-        for _ in range(80):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = certified(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = certified(d)
-        pairs = [(vals[i], float(grid[i])), (fc, c), (fd, d)]
-        h, c_star = min(pairs, key=lambda t: t[0])
+        h, c_star = _grid_min(
+            lambda cs: [certified(float(c)) for c in cs], lo, hi, 512)
     if math.isinf(h):
         return BoundResult(h_max=math.inf, rule="singular",
                            binding="unconditional", kappa_at_h=math.inf)

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (BoundResult, bound_negative, bound_positive,
-                     bound_singular)
+from .bounds import (BoundResult, _bisect_nonpositive, bound_negative,
+                     bound_positive, bound_singular)
 from .constants import point_constants
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
@@ -277,15 +277,7 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
     lo, hi = h_lo, min(max(1e-3, 2.0 * h_lo), h_hi)
     while worst(hi) <= 0.0:
         lo, hi = hi, min(2.0 * hi, h_hi)
-    while hi - lo > tol_h * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if worst(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_nonpositive(worst, lo, hi, tol_h)
 
 
 def pair_ratios(field: FieldModel, p: ChartPoint, h: float,

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostab.bounds import (
     BoundResult,
@@ -221,6 +223,40 @@ def test_negative_rule_flat_binding_without_penalty():
     assert abs(out.h_max - 2.0 * 0.6 / (1.0 + damping)) < 1e-14
 
 
+def test_negative_rule_flat_binding_is_not_decided_by_rounding():
+    """rhs(0) equals the flat ceiling mathematically but may round one
+    ulp below it; a minimum at kappa = 0 is still the flat binding."""
+    consts = RegionConstants(alpha=0.6, mu_minus=0.5, sigma=1.3,
+                             sup_norm=1.0, rho=-1.0, mu_plus=1.0)
+    out = bound_negative(consts)
+    assert out.binding == "flat"
+    assert out.h_max == 2 * 0.6 / (1 + 1.3 ** 2) == 0.4460966542750929
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.05, 3.0), mu=st.floats(0.0, 5.0),
+       sigma=st.floats(0.05, 2.0), C=st.floats(0.05, 3.0),
+       rho=st.floats(-4.0, -0.05))
+def test_negative_rule_sound_and_tight_against_oracle(alpha, mu, sigma, C,
+                                                      rho):
+    """h_max is at most the oracle minimum of rhs on [0, h_max*s]; unless
+    the flat ceiling binds, a step 1e-6 larger is not certified."""
+    consts = make_consts(alpha=alpha, mu_minus=mu, sigma=sigma, sup_norm=C,
+                         rho=rho)
+    out = bound_negative(consts)
+    scale = C * math.sqrt(-rho)
+    damping = (sigma * scale) ** 2
+
+    def oracle_min(h):
+        ks = np.linspace(0.0, h * scale, 20001)
+        return float(np.min(negative_rhs_oracle(ks, alpha, mu, damping)))
+
+    assert out.h_max <= oracle_min(out.h_max) * (1.0 + 1e-12)
+    if out.binding != "flat":
+        h_up = out.h_max * (1.0 + 1e-6)
+        assert h_up > oracle_min(h_up)
+
+
 def test_negative_rule_curvature_binding_is_certified_boundary():
     consts = make_consts(alpha=1.0, mu_minus=4.0, sigma=0.5, sup_norm=1.0,
                          rho=-1.0)
@@ -287,11 +323,20 @@ def test_singular_rule_closed_form_value():
     assert abs(1.0 / math.tanh(out.h_max) - 2.0) < 1e-12
 
 
-def test_singular_rule_worst_over_norm_range():
-    consts = make_consts(alpha=0.25, sigma=1.0, rho=-1.0)
-    out = bound_singular(consts, (0.5, 2.0))
-    cs = np.linspace(0.5, 2.0, 200001)
-    R = (1.0 + cs ** 2) / (2.0 * 0.25 * cs)
+@pytest.mark.parametrize("alpha,sigma,lo,hi", [
+    (0.25, 1.0, 0.5, 2.0),
+    (0.5, 2.0, 0.1, 1.5),
+    (0.3, 0.8, 0.2, 5.0),
+    (1.0, 3.0, 0.05, 0.2),
+    (0.2, 0.5, 3.0, 10.0),
+])
+def test_singular_rule_worst_over_norm_range(alpha, sigma, lo, hi):
+    """Dense scan over the norm range, which straddles the certified
+    ratio's minimum at c = 1/sigma in the first three cases."""
+    consts = make_consts(alpha=alpha, sigma=sigma, rho=-1.0)
+    out = bound_singular(consts, (lo, hi))
+    cs = np.linspace(lo, hi, 200001)
+    R = (1.0 + (cs * sigma) ** 2) / (2.0 * alpha * cs)
     hs = 0.5 * np.log((R + 1.0) / (R - 1.0)) / cs
     assert abs(out.h_max - hs.min()) <= 1e-9 * hs.min()
 
