@@ -1,60 +1,8 @@
 """Step-size bounds and non-expansivity checks for geodesic Euler
-integrators on constant-curvature manifolds."""
+integrators on constant-curvature manifolds.
 
-from .bounds import (BoundResult, bound_negative, bound_positive,
-                     bound_singular, euclidean_bound)
-from .constants import (RegionConstants, alpha_point, log_g_norm,
-                        mu_minus_point, mu_plus_point, point_constants,
-                        region_constants, sigma_point)
-from .errors import (BracketError, ChartDomainError, ChartExitError,
-                     DegenerateDirectionError, GeostabError,
-                     InconsistentConstantsError, NoBoundError,
-                     NoFiniteAlphaError, NonconvergenceError,
-                     NotCocoerciveError, SingularConnectionError,
-                     StationaryPointError, UnsupportedKernelError)
-from .experiments import (EXAMPLES, ExampleFamily, SweepRow,
-                          ValidationResult, direction_sweep_delta,
-                          figure_sweep, get_example, jacobi_validation,
-                          numerical_hmax, pair_ratios, rows_from_csv,
-                          rows_to_csv, spec_grid, sweep_deltas, theory_bound,
-                          unit_directions, write_csv)
-from .fields import (ConnectionMatrix, FieldModel, generic_field, h2_field,
-                     h2_singular_field, linear_field, s2_field, s3_field)
-from .integrators import expansivity_ratio, gee_step, gie_step, integrate
-from .jacobi import (CurvatureSign, JacobiData, ck, curvature_penalty,
-                     curvature_sign, f_functions, gee_jacobi_data,
-                     jacobi_coeffs, jacobi_eval, jacobi_norm, norm_diff, sk,
-                     variation_data)
-from .manifolds import (HALF_PLANE, SPHERE2, SPHERE3, ChartPoint, Euclidean,
-                        Frame, HalfPlane, ManifoldModel, Sphere2, Sphere3,
-                        TangentVector)
-from .odes import field_flow, geodesic_flow, transport_flow
+The API lives in the submodules (``geostab.manifolds``, ``geostab.fields``,
+``geostab.constants``, ``geostab.bounds``, ...); import names from there.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundResult", "bound_negative", "bound_positive", "bound_singular",
-    "euclidean_bound",
-    "RegionConstants", "alpha_point", "log_g_norm", "mu_minus_point",
-    "mu_plus_point", "point_constants", "region_constants", "sigma_point",
-    "BracketError", "ChartDomainError", "ChartExitError",
-    "DegenerateDirectionError", "GeostabError", "InconsistentConstantsError",
-    "NoBoundError", "NoFiniteAlphaError", "NonconvergenceError",
-    "NotCocoerciveError", "SingularConnectionError", "StationaryPointError",
-    "UnsupportedKernelError",
-    "EXAMPLES", "ExampleFamily", "SweepRow", "ValidationResult",
-    "direction_sweep_delta", "figure_sweep", "get_example",
-    "jacobi_validation", "numerical_hmax", "pair_ratios", "rows_from_csv",
-    "rows_to_csv", "spec_grid", "sweep_deltas", "theory_bound",
-    "unit_directions", "write_csv",
-    "ConnectionMatrix", "FieldModel", "generic_field", "h2_field",
-    "h2_singular_field", "linear_field", "s2_field", "s3_field",
-    "expansivity_ratio", "gee_step", "gie_step", "integrate",
-    "CurvatureSign", "JacobiData", "ck", "curvature_penalty",
-    "curvature_sign", "f_functions", "gee_jacobi_data", "jacobi_coeffs",
-    "jacobi_eval", "jacobi_norm", "norm_diff", "sk", "variation_data",
-    "HALF_PLANE", "SPHERE2", "SPHERE3", "ChartPoint", "Euclidean", "Frame",
-    "HalfPlane", "ManifoldModel", "Sphere2", "Sphere3", "TangentVector",
-    "field_flow", "geodesic_flow", "transport_flow",
-    "__version__",
-]

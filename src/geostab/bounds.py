@@ -22,10 +22,10 @@ import numpy as np
 
 from .constants import RegionConstants
 from .errors import GeostabError, InconsistentConstantsError, NoBoundError
-from .jacobi import CurvatureSign, _sinhc, curvature_penalty, f_functions
+from .jacobi import (CurvatureSign, _sinhc_minus_one, curvature_penalty,
+                     f_functions)
 
 R_TOL = 1e-12
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,17 @@ def bound_positive(consts: RegionConstants) -> BoundResult:
                        kappa_at_h=h * scale)
 
 
-def _kappa_coth(kappa: np.ndarray) -> np.ndarray:
-    """kappa*coth(kappa) with limit 1 at zero; linear tail for large
-    arguments where coth is 1 to machine precision."""
+def _kappa_coth_minus_one(kappa: np.ndarray) -> np.ndarray:
+    """kappa*coth(kappa) - 1 = (cosh - sinhc) / sinhc, with cosh - 1 and
+    sinhc - 1 taken apart so that the result keeps its relative accuracy
+    below kappa = 1e-4; linear tail for large arguments where coth is 1
+    to machine precision."""
     kappa = np.asarray(kappa, dtype=float)
     big = kappa > 30.0
     safe = np.where(big, 0.0, kappa)
-    val = np.cosh(safe) / _sinhc(safe)
-    return np.where(big, kappa, val)
+    sinhc_m1 = _sinhc_minus_one(safe)
+    val = (2.0 * np.sinh(0.5 * safe) ** 2 - sinhc_m1) / (1.0 + sinhc_m1)
+    return np.where(big, kappa - 1.0, val)
 
 
 def _damped_penalty(kappa: np.ndarray) -> np.ndarray:
@@ -120,42 +123,38 @@ def _damped_penalty(kappa: np.ndarray) -> np.ndarray:
 
 
 def _negative_rhs(kappa, alpha, mu_minus, damping):
-    """Admissible step at curvature scale kappa on negative models."""
+    """Admissible step at curvature scale kappa on negative models: the
+    flat ceiling 2*alpha/(1 + damping) plus the curvature excess, summed
+    so that a nonnegative excess never rounds the result below the
+    ceiling."""
     kappa = np.asarray(kappa, dtype=float)
-    return (2.0 / (1.0 + damping)) * (
-        alpha * _kappa_coth(kappa) - mu_minus * _damped_penalty(kappa))
+    excess = (alpha * _kappa_coth_minus_one(kappa)
+              - mu_minus * _damped_penalty(kappa))
+    return (2.0 * alpha + 2.0 * excess) / (1.0 + damping)
 
 
 def _grid_min(f, lo: float, hi: float, n_grid: int):
-    """Minimum of a continuous function on [lo, hi] by a dense grid plus
-    golden-section refinement between the best grid point's neighbours.
+    """Minimum of a continuous function on [lo, hi] by a grid of n_grid
+    points (at least 4), narrowed to the best point's two neighbours and
+    laid again until the bracket is two floats wide at the scale of the
+    original interval.
 
-    f is vectorised.  Returns (value, argument); on ties the grid point
+    f is vectorised and always receives the whole grid.  Returns
+    (value, argument) of the best point seen; on ties the earlier point
     wins, so a minimum at lo is reported at lo exactly.
     """
-    grid = np.linspace(lo, hi, n_grid)
-    vals = f(grid)
-    i = int(np.argmin(vals))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, n_grid - 1)])
-
-    def at(x):
-        return float(f(np.array([x]))[0])
-
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = at(c), at(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = at(d)
-    return min([(float(vals[i]), float(grid[i])), (fc, c), (fd, d)],
-               key=lambda t: t[0])
+    resolution = 2.0 * np.spacing(max(abs(lo), abs(hi)))
+    best, arg = math.inf, lo
+    while True:
+        grid = np.linspace(lo, hi, n_grid)
+        vals = f(grid)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, arg = float(vals[i]), float(grid[i])
+        lo = float(grid[max(i - 1, 0)])
+        hi = float(grid[min(i + 1, n_grid - 1)])
+        if hi - lo <= resolution:
+            return best, arg
 
 
 def bound_negative(consts: RegionConstants) -> BoundResult:
@@ -174,7 +173,11 @@ def bound_negative(consts: RegionConstants) -> BoundResult:
       by continuity (else phi would dip below h just left of it).
     * phi(0) = flat and phi >= kappa/s, so kappa > flat*s never matters.
 
-    A minimum at kappa = 0 or not below flat reports the flat binding.
+    The minimum is a sampled one: a 2001-point grid of phi, narrowed
+    around its best point down to the last bit (``_grid_min``).  A
+    minimum at kappa = 0 or not below flat reports the flat binding;
+    rhs is summed as flat plus its excess, so rounding near kappa = 0
+    does not put it below flat.
     """
     if consts.rho >= 0:
         raise GeostabError("negative-curvature rule needs rho < 0")
@@ -231,20 +234,16 @@ def bound_singular(consts: RegionConstants, x_norm_range) -> BoundResult:
 
     def certified(c):
         R = (1.0 + (c * root * sigma) ** 2) / (2.0 * alpha * c * root)
-        if R < 1.0 - R_TOL:
+        if np.any(R < 1.0 - R_TOL):
             raise InconsistentConstantsError(
-                f"certified ratio {R:.12g} < 1 contradicts alpha <= sigma")
-        if R <= 1.0 + R_TOL:
-            return math.inf
-        # arccoth(R) = log((R+1)/(R-1)) / 2
-        return 0.5 * math.log((R + 1.0) / (R - 1.0)) / (c * root)
+                f"certified ratio {R.min():.12g} < 1 contradicts "
+                f"alpha <= sigma")
+        # arccoth(R) = log((R+1)/(R-1)) / 2; R = 1 certifies every step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = 0.5 * np.log((R + 1.0) / (R - 1.0)) / (c * root)
+        return np.where(R <= 1.0 + R_TOL, math.inf, h)
 
-    if lo == hi:
-        h = certified(lo)
-        c_star = lo
-    else:
-        h, c_star = _grid_min(
-            lambda cs: [certified(float(c)) for c in cs], lo, hi, 512)
+    h, c_star = _grid_min(certified, lo, hi, 512)
     if math.isinf(h):
         return BoundResult(h_max=math.inf, rule="singular",
                            binding="unconditional", kappa_at_h=math.inf)

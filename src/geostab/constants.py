@@ -178,7 +178,7 @@ def region_constants(field, manifold, sampler) -> RegionConstants:
     for p in points:
         n += 1
         g = manifold.metric(p)
-        A = field.covariant_matrix(p).entries
+        A = field.covariant_matrix(p)
         X = field.eval(p)
         a = alpha_point(A, g)
         if a <= 0.0:

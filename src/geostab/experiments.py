@@ -201,7 +201,7 @@ class _SweepKernel:
         X = field.require_moving(p)
         g = manifold.metric(p)
         E = manifold.frame(p, X).matrix
-        A = field.covariant_matrix(p).entries
+        A = field.covariant_matrix(p)
         self.dim = manifold.dim
         self.sign = curvature_sign(manifold.rho)
         self.N = E.T @ g @ A @ E

@@ -11,8 +11,6 @@ used throughout the experiments; ``generic_field`` wraps arbitrary
 component functions.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StationaryPointError
@@ -28,16 +26,6 @@ from .manifolds import (
 FD_STEP = 1e-6  # central-difference step for generic jacobians
 
 STATIONARY_NORM = 1e-14
-
-
-@dataclass(frozen=True, eq=False)
-class ConnectionMatrix:
-    """Covariant derivative matrix of a field at a point; entries[i, j]
-    holds the component of the derivative of X along the j-th chart
-    direction."""
-
-    base: ChartPoint
-    entries: np.ndarray
 
 
 class FieldModel:
@@ -59,10 +47,6 @@ class FieldModel:
         self._func = func
         self._jac = jac
         self.name = name
-
-    @property
-    def model_id(self) -> str:
-        return self.manifold.name
 
     def eval(self, p: ChartPoint) -> TangentVector:
         return TangentVector(p, self.components(p.coords))
@@ -88,15 +72,16 @@ class FieldModel:
             J[:, j] = (hi - lo) / (2.0 * FD_STEP)
         return J
 
-    def covariant_matrix(self, p: ChartPoint) -> ConnectionMatrix:
-        """(grad X)^i_j = dX^i/dx^j + Gamma^i_{jk} X^k at p."""
+    def covariant_matrix(self, p: ChartPoint) -> np.ndarray:
+        """(grad X)^i_j = dX^i/dx^j + Gamma^i_{jk} X^k at p, as a (d, d)
+        array whose entry [i, j] is the i-th component of the derivative
+        of X along the j-th chart direction."""
         G = self.manifold.christoffel(p)
         X = np.asarray(self._func(p.coords), dtype=float)
-        A = self.jacobian(p) + np.einsum("ijk,k->ij", G, X)
-        return ConnectionMatrix(p, A)
+        return self.jacobian(p) + np.einsum("ijk,k->ij", G, X)
 
     def directional_covariant(self, v: TangentVector) -> TangentVector:
-        A = self.covariant_matrix(v.base).entries
+        A = self.covariant_matrix(v.base)
         return TangentVector(v.base, A @ v.comps)
 
     def require_moving(self, p: ChartPoint) -> TangentVector:

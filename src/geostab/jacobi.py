@@ -283,7 +283,7 @@ def gee_jacobi_data(field, p: ChartPoint, direction: TangentVector,
     velocity u = h*X|_p.
     """
     X = field.require_moving(p)
-    A = field.covariant_matrix(p).entries
+    A = field.covariant_matrix(p)
     w = TangentVector(p, h * (A @ direction.comps))
     u = TangentVector(p, h * X.comps)
     return variation_data(direction, w, u)

@@ -56,10 +56,6 @@ class ChartPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", _freeze(self.coords))
 
-    @property
-    def model_id(self) -> str:
-        return self.model.name
-
     def __repr__(self):
         vals = ", ".join(format(c, ".6g") for c in self.coords)
         return f"{self.model.name}({vals})"

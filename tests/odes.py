@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import ChartPoint, ManifoldModel, TangentVector
+from geostab.manifolds import ChartPoint, ManifoldModel, TangentVector
 
 DEFAULT_STEP = 1e-4
 

@@ -27,7 +27,8 @@ from geostab.experiments import (
 )
 from geostab.integrators import integrate
 from geostab.jacobi import CurvatureSign, curvature_penalty
-from geostab.odes import field_flow
+
+from odes import field_flow
 
 SEED = 20260814
 
@@ -83,7 +84,7 @@ def test_03_log_g_norm_closed_forms_within_1e10():
     def mu_g(name, eps, p):
         family = get_example(name)
         field = family.make_field(eps)
-        return log_g_norm(field.covariant_matrix(p).entries,
+        return log_g_norm(field.covariant_matrix(p),
                           family.manifold.metric(p))
 
     closed = {

@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geostab.bounds as bounds
 from geostab.bounds import (
     BoundResult,
+    _grid_min,
+    _kappa_coth_minus_one,
+    _negative_rhs,
     bound_negative,
     bound_positive,
     bound_singular,
@@ -233,6 +237,64 @@ def test_negative_rule_flat_binding_is_not_decided_by_rounding():
     assert out.h_max == 2 * 0.6 / (1 + 1.3 ** 2) == 0.4460966542750929
 
 
+def test_negative_rhs_does_not_round_below_the_flat_ceiling():
+    """The excess over the flat ceiling grows like 0.0066*kappa^2 here.
+    Summed apart from the ceiling it keeps its sign; the direct form
+    2/(1+D) * (alpha*kappa*coth(kappa) - ...) rounds up to two ulps
+    below the ceiling near kappa = 7e-8, where the narrowed grid finds
+    it and would report a curvature binding."""
+    alpha, mu, sigma, C, rho = (0.6889008566930749, 2.5204366790534394,
+                                1.1760164187225068, 0.3267040900509468,
+                                -0.4698007737456536)
+    scale = C * math.sqrt(-rho)
+    damping = (sigma * scale) ** 2
+    flat = 2.0 * alpha / (1.0 + damping)
+    ks = np.geomspace(1e-12, 1e-3, 2001)
+    assert np.all(_negative_rhs(ks, alpha, mu, damping) >= flat)
+    out = bound_negative(make_consts(alpha=alpha, mu_minus=mu, sigma=sigma,
+                                     sup_norm=C, rho=rho))
+    assert out.binding == "flat"
+    assert out.h_max == flat
+
+
+def test_kappa_coth_minus_one_against_mpmath():
+    """Relative accuracy where the series branch runs (kappa < 1e-4),
+    absolute accuracy at the scale of kappa*coth(kappa) elsewhere,
+    across the kappa = 30 switch to the linear tail."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ks = np.concatenate([np.geomspace(1e-12, 40.0, 801),
+                         [9.99e-5, 1e-4, 1.0001e-4, 29.99, 30.0, 30.01]])
+    got = _kappa_coth_minus_one(ks)
+    for k, g in zip(ks, got):
+        want = float(mpmath.mpf(k) * mpmath.coth(mpmath.mpf(k)) - 1)
+        if k < 1e-4:
+            assert abs(g - want) <= 1e-14 * want
+        else:
+            assert abs(g - want) <= 4e-16 * (1.0 + want)
+
+
+def test_negative_rule_evaluates_rhs_on_whole_grids(monkeypatch):
+    """Every rhs evaluation of the negative rule is one whole grid of
+    the narrowed search, in the curvature and in the flat binding."""
+    sizes = []
+    real = bounds._negative_rhs
+
+    def spy(kappa, *args):
+        sizes.append(np.shape(kappa))
+        return real(kappa, *args)
+
+    monkeypatch.setattr(bounds, "_negative_rhs", spy)
+    for consts, binding in [
+            (make_consts(alpha=1.0, mu_minus=4.0, sigma=0.5, sup_norm=1.0,
+                         rho=-1.0), "curvature"),
+            (make_consts(alpha=0.6, mu_minus=0.5, sigma=1.3, sup_norm=1.0,
+                         rho=-1.0), "flat")]:
+        sizes.clear()
+        assert bound_negative(consts).binding == binding
+        assert sizes and set(sizes) == {(2001,)}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(0.05, 3.0), mu=st.floats(0.0, 5.0),
        sigma=st.floats(0.05, 2.0), C=st.floats(0.05, 3.0),
@@ -394,3 +456,32 @@ def test_singular_rule_input_validation():
         bound_singular(make_consts(rho=-1.0), (0.0, 1.0))
     with pytest.raises(GeostabError):
         bound_singular(make_consts(rho=-1.0), (2.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional minimum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_grid", [512, 2001])
+def test_grid_min_finds_a_kinked_minimum_to_a_few_ulp(n_grid):
+    x0 = 1.0 / math.sqrt(2.0)
+    value, arg = _grid_min(lambda x: 0.5 + np.abs(x - x0), 0.0, 1.0, n_grid)
+    assert abs(arg - x0) <= 4 * np.spacing(x0)
+    assert abs(value - 0.5) <= 4 * np.spacing(0.5)
+
+
+def test_grid_min_reports_a_minimum_at_lo_exactly():
+    """(x - 0.3)^2 vanishes against 1 within 1e-8 of lo, so the narrowed
+    grids see ties there; the earlier point, lo itself, wins."""
+    assert _grid_min(lambda x: 1.0 + (x - 0.3) ** 2, 0.3, 2.0,
+                     2001) == (1.0, 0.3)
+
+
+def test_grid_min_of_a_constant_is_at_lo():
+    assert _grid_min(lambda x: np.full_like(x, 2.5), -1.0, 3.0,
+                     512) == (2.5, -1.0)
+
+
+def test_grid_min_on_a_single_point():
+    assert _grid_min(lambda x: 2.0 * x, 0.7, 0.7, 512) == (1.4, 0.7)

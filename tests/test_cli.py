@@ -5,6 +5,7 @@ files; one subprocess smoke test covers the installed entry point.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -197,10 +198,14 @@ def test_validate_reports_failure(capsys, monkeypatch):
 
 
 def test_console_script_smoke():
+    # the child imports the same geostab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from geostab.cli import main; "
          "sys.exit(main(['bound', '--example', 'euclid', '--alpha', '1']))"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "h_max     2" in proc.stdout

@@ -262,7 +262,7 @@ def test_mu_plus_dominates_alpha_on_sphere_example(rng):
     field = make_field("s2", eps=1.0)
     for p in s2_upper_points(rng, 10):
         g = SPHERE2.metric(p)
-        A = field.covariant_matrix(p).entries
+        A = field.covariant_matrix(p)
         X = field.eval(p).comps
         assert mu_plus_point(A, g, X) >= alpha_point(A, g) - 1e-12
 

@@ -21,9 +21,9 @@ from geostab.integrators import (
     integrate,
 )
 from geostab.manifolds import HALF_PLANE, Euclidean
-from geostab.odes import field_flow
 
 from conftest import FIELD_FACTORIES, make_field, random_points
+from odes import field_flow
 
 EUCLID2 = Euclidean(2)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_points, random_tangent, unit_tangent
+from odes import BatchVariationState, integrate_batch
 
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import linear_field, s2_field
@@ -33,7 +34,6 @@ from geostab.jacobi import (
     variation_form,
 )
 from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3, Euclidean, Frame
-from geostab.odes import BatchVariationState, integrate_batch
 
 POS = CurvatureSign.POSITIVE
 NEG = CurvatureSign.NEGATIVE
@@ -459,7 +459,7 @@ def test_gee_jacobi_data_contents(rng):
     data = gee_jacobi_data(field, p, e, h)
     E = SPHERE2.frame(p, SPHERE2.tangent(p, h * field.eval(p).comps)).matrix
     g = SPHERE2.metric(p)
-    A = field.covariant_matrix(p).entries
+    A = field.covariant_matrix(p)
     assert np.allclose(data.a, E.T @ g @ e.comps, atol=1e-13)
     assert np.allclose(data.b, E.T @ g @ (h * (A @ e.comps)), atol=1e-13)
     assert abs(data.kappa - h * field.norm_at(p)) < 1e-13

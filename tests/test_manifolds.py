@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_points, random_tangent
+from odes import geodesic_flow, transport_flow
 
 from geostab.errors import (
     ChartDomainError,
@@ -15,7 +16,6 @@ from geostab.errors import (
     GeostabError,
 )
 from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3, Euclidean, TangentVector
-from geostab.odes import geodesic_flow, transport_flow
 
 EUCLID2 = Euclidean(2)
 MODELS = [SPHERE2, HALF_PLANE, SPHERE3, EUCLID2]
