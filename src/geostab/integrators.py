@@ -5,11 +5,21 @@ field for arc parameter h.  The implicit step solves
 
     p = exp_q(-h * X|_q)
 
-for the next point q by fixed-point iteration: each iterate moves the
-field vector at the current guess back to p by parallel transport along
-the connecting geodesic and re-exponentiates.  Convergence is measured
-by the defect d(exp_q(-h*X|_q), p).
+for the next point q = exp_p(v), with v in chart components at p.  The
+fixed point of v = G(v), where G(v) moves h * X|_q from q back to p by
+parallel transport along the connecting geodesic, is that solution.
+Plain iteration of G converges only while h * |grad X| < 1, the explicit
+step's own limit, so the step runs a simplified Newton iteration
+
+    v <- v - (I - h * A_p)^{-1} (v - G(v)),
+
+with A_p the covariant derivative matrix of X at p.  h * A_p is the
+derivative of G at v = 0, and I - h * A_p is inverted once per step (the
+frozen Jacobian of Hairer & Wanner, Solving ODEs II, IV.8).  Convergence
+is measured by the defect d(exp_q(-h*X|_q), p).
 """
+
+import numpy as np
 
 from .errors import GeostabError, NonconvergenceError
 from .fields import FieldModel
@@ -38,26 +48,38 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float,
              ) -> ChartPoint:
     """One implicit geodesic Euler step of size h from p.
 
-    Raises NonconvergenceError (carrying the final defect) when the
-    fixed-point iteration fails to reach the requested tolerance; this
-    happens once h exceeds the contraction range of the field.
+    Simplified Newton iteration on the step v at p, started from the
+    explicit step v = h * X|_p, with the Jacobian I - h * A_p frozen at
+    p.  Raises NonconvergenceError (carrying the final defect) when the
+    defect does not reach tol within max_iter iterations, and at once
+    when I - h * A_p is singular, where neither this iteration nor plain
+    fixed-point iteration can converge.
     """
     model = field.manifold
-    q = gee_step(field, p, h)
+    v = h * field.eval(p).comps
+    q = model.exp(p, model.tangent(p, v))
     defect = _gie_defect(field, q, h, p)
-    for _ in range(max_iter):
-        if defect <= tol:
-            return q
-        X = field.eval(q)
-        u = model.log(q, p)
-        moved = model.transport(model.tangent(q, h * X.comps), u)
-        q = model.exp(p, moved)
-        defect = _gie_defect(field, q, h, p)
     if defect <= tol:
         return q
+    try:
+        inv = np.linalg.inv(np.eye(model.dim) - h * field.covariant_matrix(p))
+    except np.linalg.LinAlgError:
+        raise NonconvergenceError(
+            f"implicit step from {p!r} with h = {h:.6g}: I - h * grad X is "
+            f"singular (defect {defect:.3e} after 0 iterations)",
+            defect=defect) from None
+    for _ in range(max_iter):
+        X = field.eval(q)
+        moved = model.transport(model.tangent(q, h * X.comps), model.log(q, p))
+        v = v - inv @ (v - moved.comps)
+        q = model.exp(p, model.tangent(p, v))
+        defect = _gie_defect(field, q, h, p)
+        if defect <= tol:
+            return q
     raise NonconvergenceError(
-        f"implicit step did not converge in {max_iter} iterations "
-        f"(defect {defect:.3e} > tol {tol:.1e})", defect=defect)
+        f"implicit step from {p!r} with h = {h:.6g} did not converge in "
+        f"{max_iter} iterations (defect {defect:.3e} > tol {tol:.1e})",
+        defect=defect)
 
 
 def integrate(field: FieldModel, p0: ChartPoint, h: float, n_steps: int,

@@ -46,7 +46,7 @@ def _freeze(a):
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ChartPoint:
     """A point of a model manifold, stored in chart coordinates."""
 
@@ -61,7 +61,7 @@ class ChartPoint:
         return f"{self.model.name}({vals})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TangentVector:
     """A tangent vector given by chart components at a base point."""
 
@@ -81,7 +81,7 @@ class TangentVector:
         return f"<{vals}> at {self.base!r}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Frame:
     """A g-orthonormal basis at a point; column j of ``matrix`` holds the
     chart components of the j-th frame vector."""
@@ -143,18 +143,6 @@ class ManifoldModel:
 
     def christoffel(self, p: ChartPoint) -> np.ndarray:
         """Christoffel symbols, indexed G[i, j, k] = Gamma^i_{jk}."""
-        raise NotImplementedError
-
-    def metric_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Metric matrices at an (m, d) array of raw chart coordinates.
-
-        Intended for vectorized ODE integration; no domain checks or
-        angle wrapping are applied.
-        """
-        raise NotImplementedError
-
-    def christoffel_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Christoffel symbols, shape (m, d, d, d), at raw coordinates."""
         raise NotImplementedError
 
     def inner(self, v: TangentVector, w: TangentVector) -> float:
@@ -320,19 +308,6 @@ class Sphere2(_EmbeddedSphere):
         G[1, 0, 1] = G[1, 1, 0] = -np.tan(phi)
         return G
 
-    def metric_batch(self, coords):
-        g = np.zeros((len(coords), 2, 2))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = np.cos(coords[:, 0]) ** 2
-        return g
-
-    def christoffel_batch(self, coords):
-        phi = coords[:, 0]
-        G = np.zeros((len(coords), 2, 2, 2))
-        G[:, 0, 1, 1] = np.sin(phi) * np.cos(phi)
-        G[:, 1, 0, 1] = G[:, 1, 1, 0] = -np.tan(phi)
-        return G
-
     def embed(self, p):
         phi, th = p.coords
         cp = np.cos(phi)
@@ -391,26 +366,6 @@ class Sphere3(_EmbeddedSphere):
         G[1, 2, 2] = -st * ct
         G[2, 0, 2] = G[2, 2, 0] = cp / sp
         G[2, 1, 2] = G[2, 2, 1] = ct / st
-        return G
-
-    def metric_batch(self, coords):
-        sp, st = np.sin(coords[:, 0]), np.sin(coords[:, 1])
-        g = np.zeros((len(coords), 3, 3))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = sp ** 2
-        g[:, 2, 2] = (sp * st) ** 2
-        return g
-
-    def christoffel_batch(self, coords):
-        sp, cp = np.sin(coords[:, 0]), np.cos(coords[:, 0])
-        st, ct = np.sin(coords[:, 1]), np.cos(coords[:, 1])
-        G = np.zeros((len(coords), 3, 3, 3))
-        G[:, 0, 1, 1] = -sp * cp
-        G[:, 0, 2, 2] = -sp * cp * st ** 2
-        G[:, 1, 0, 1] = G[:, 1, 1, 0] = cp / sp
-        G[:, 1, 2, 2] = -st * ct
-        G[:, 2, 0, 2] = G[:, 2, 2, 0] = cp / sp
-        G[:, 2, 1, 2] = G[:, 2, 2, 1] = ct / st
         return G
 
     def embed(self, p):
@@ -481,19 +436,6 @@ class HalfPlane(ManifoldModel):
         G[0, 0, 1] = G[0, 1, 0] = -1.0 / y
         G[1, 0, 0] = 1.0 / y
         G[1, 1, 1] = -1.0 / y
-        return G
-
-    def metric_batch(self, coords):
-        g = np.zeros((len(coords), 2, 2))
-        g[:, 0, 0] = g[:, 1, 1] = 1.0 / coords[:, 1] ** 2
-        return g
-
-    def christoffel_batch(self, coords):
-        inv_y = 1.0 / coords[:, 1]
-        G = np.zeros((len(coords), 2, 2, 2))
-        G[:, 0, 0, 1] = G[:, 0, 1, 0] = -inv_y
-        G[:, 1, 0, 0] = inv_y
-        G[:, 1, 1, 1] = -inv_y
         return G
 
     def _mobius(self, p, v):
@@ -602,13 +544,6 @@ class Euclidean(ManifoldModel):
 
     def christoffel(self, p):
         return np.zeros((self.dim,) * 3)
-
-    def metric_batch(self, coords):
-        return np.broadcast_to(np.eye(self.dim),
-                               (len(coords), self.dim, self.dim)).copy()
-
-    def christoffel_batch(self, coords):
-        return np.zeros((len(coords),) + (self.dim,) * 3)
 
     def exp(self, p, v):
         return self.point(p.coords + v.comps)

@@ -10,16 +10,78 @@ independent check of the analytic formulas:
 
 all integrated jointly and batched over many initial conditions at once.
 The default step 1e-4 keeps the fourth-order local error far below the
-1e-6 comparison tolerances used elsewhere.
+1e-6 comparison tolerances used elsewhere.  ``metric_batch`` and
+``christoffel_batch`` evaluate the four models' metric and Christoffel
+symbols at many raw chart coordinates at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from geostab.manifolds import ChartPoint, ManifoldModel, TangentVector
+from geostab.manifolds import (
+    ChartPoint,
+    Euclidean,
+    HalfPlane,
+    ManifoldModel,
+    Sphere2,
+    Sphere3,
+    TangentVector,
+)
 
 DEFAULT_STEP = 1e-4
+
+
+def metric_batch(model: ManifoldModel, coords: np.ndarray) -> np.ndarray:
+    """Metric matrices, shape (m, d, d), at an (m, d) array of raw chart
+    coordinates; no domain checks or angle wrapping are applied."""
+    m = len(coords)
+    if isinstance(model, Euclidean):
+        return np.broadcast_to(np.eye(model.dim),
+                               (m, model.dim, model.dim)).copy()
+    g = np.zeros((m, model.dim, model.dim))
+    if isinstance(model, Sphere2):
+        g[:, 0, 0] = 1.0
+        g[:, 1, 1] = np.cos(coords[:, 0]) ** 2
+    elif isinstance(model, Sphere3):
+        sp, st = np.sin(coords[:, 0]), np.sin(coords[:, 1])
+        g[:, 0, 0] = 1.0
+        g[:, 1, 1] = sp ** 2
+        g[:, 2, 2] = (sp * st) ** 2
+    elif isinstance(model, HalfPlane):
+        g[:, 0, 0] = g[:, 1, 1] = 1.0 / coords[:, 1] ** 2
+    else:
+        raise TypeError(f"no batched metric for {model.name}")
+    return g
+
+
+def christoffel_batch(model: ManifoldModel, coords: np.ndarray) -> np.ndarray:
+    """Christoffel symbols, shape (m, d, d, d), G[:, i, j, k] =
+    Gamma^i_{jk}, at an (m, d) array of raw chart coordinates."""
+    G = np.zeros((len(coords),) + (model.dim,) * 3)
+    if isinstance(model, Euclidean):
+        return G
+    if isinstance(model, Sphere2):
+        phi = coords[:, 0]
+        G[:, 0, 1, 1] = np.sin(phi) * np.cos(phi)
+        G[:, 1, 0, 1] = G[:, 1, 1, 0] = -np.tan(phi)
+    elif isinstance(model, Sphere3):
+        sp, cp = np.sin(coords[:, 0]), np.cos(coords[:, 0])
+        st, ct = np.sin(coords[:, 1]), np.cos(coords[:, 1])
+        G[:, 0, 1, 1] = -sp * cp
+        G[:, 0, 2, 2] = -sp * cp * st ** 2
+        G[:, 1, 0, 1] = G[:, 1, 1, 0] = cp / sp
+        G[:, 1, 2, 2] = -st * ct
+        G[:, 2, 0, 2] = G[:, 2, 2, 0] = cp / sp
+        G[:, 2, 1, 2] = G[:, 2, 2, 1] = ct / st
+    elif isinstance(model, HalfPlane):
+        inv_y = 1.0 / coords[:, 1]
+        G[:, 0, 0, 1] = G[:, 0, 1, 0] = -inv_y
+        G[:, 1, 0, 0] = inv_y
+        G[:, 1, 1, 1] = -inv_y
+    else:
+        raise TypeError(f"no batched Christoffel symbols for {model.name}")
+    return G
 
 
 @dataclass
@@ -41,14 +103,14 @@ class BatchVariationState:
 
 
 def _rhs(model: ManifoldModel, s: BatchVariationState) -> BatchVariationState:
-    G = model.christoffel_batch(s.coords)
+    G = christoffel_batch(model, s.coords)
     # B[m, i, k] = Gamma^i_{jk} v^j contracts every transported object
     B = np.einsum("mijk,mj->mik", G, s.vel)
     dvel = -np.einsum("mik,mk->mi", B, s.vel)
     dcols = -np.einsum("mik,mkc->mic", B, s.cols)
     djac = dk = None
     if s.jac is not None:
-        g = model.metric_batch(s.coords)
+        g = metric_batch(model, s.coords)
         gv = np.einsum("mij,mj->mi", g, s.vel)
         vv = np.einsum("mi,mi->m", s.vel, gv)
         jv = np.einsum("mi,mi->m", s.jac, gv)

@@ -1,17 +1,25 @@
-"""Test-only oracle for the exact worst-direction sweep.
+"""Test-only oracles: the sampled direction sweep and the plain
+fixed-point implicit step.
 
 The sampled direction sweep evaluates Δ on a coarse grid of unit frame
 directions (512 angles in dimension two, a 2048-point Fibonacci sphere in
 dimension three), then on local grids around the best direction found
 so far.  It can only approach the worst direction from below, so the
 exact largest eigenvalue must dominate it and agree with it closely.
+
+The fixed-point implicit step iterates q <- exp_p(G(q)), with G moving
+h * X|_q back to p by parallel transport; it converges only while the
+step contracts, so where it does converge it checks the Newton solver's
+fixed point.
 """
 
 import math
 
 import numpy as np
 
+from geostab.errors import NonconvergenceError
 from geostab.experiments import sweep_deltas, unit_directions
+from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
 
 DEFAULT_DIRS = {2: 512, 3: 2048}
 REFINE_POINTS = 17  # local grid points per axis, spacing width / 8
@@ -70,3 +78,23 @@ def refined_sweep(field, manifold, p, h, n_dirs=None):
         else:
             best = fine[k]
     return np.concatenate(seen)
+
+
+def fixed_point_gie_step(field, p, h, tol=GIE_TOL, max_iter=GIE_MAX_ITER):
+    """The implicit step by plain fixed-point iteration from the explicit
+    step, with the same defect test as ``gie_step``."""
+    model = field.manifold
+    q = gee_step(field, p, h)
+    defect = _gie_defect(field, q, h, p)
+    for _ in range(max_iter):
+        if defect <= tol:
+            return q
+        X = field.eval(q)
+        moved = model.transport(model.tangent(q, h * X.comps), model.log(q, p))
+        q = model.exp(p, moved)
+        defect = _gie_defect(field, q, h, p)
+    if defect <= tol:
+        return q
+    raise NonconvergenceError(
+        f"fixed-point implicit step did not converge (defect {defect:.3e})",
+        defect=defect)

@@ -258,9 +258,9 @@ def test_negative_rhs_does_not_round_below_the_flat_ceiling():
 
 
 def test_kappa_coth_minus_one_against_mpmath():
-    """Relative accuracy where the series branch runs (kappa < 1e-4),
-    absolute accuracy at the scale of kappa*coth(kappa) elsewhere,
-    across the kappa = 30 switch to the linear tail."""
+    """Relative accuracy below kappa = 1e-4, absolute accuracy at the
+    scale of kappa*coth(kappa) elsewhere, across the kappa = 30 switch to
+    the linear tail."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     ks = np.concatenate([np.geomspace(1e-12, 40.0, 801),

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from conftest import random_points, random_tangent, unit_tangent
-from odes import BatchVariationState, integrate_batch
+from odes import BatchVariationState, integrate_batch, metric_batch
 
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import linear_field, s2_field
 from geostab.jacobi import (
     SERIES_KAPPA,
     CurvatureSign,
+    _one_minus_sinc,
+    _sinhc_minus_one,
     ck,
     curvature_penalty,
     curvature_sign,
@@ -109,8 +111,9 @@ def test_f_functions_match_direct_forms(sign):
 
 @pytest.mark.parametrize("sign", [POS, NEG], ids=["positive", "negative"])
 def test_f_functions_small_kappa_high_precision(sign):
-    """Deep in the series region the relative error is ~1e-15; around
-    the series/direct seam the direct branch plateaus near 1e-8."""
+    """The f-functions at small kappa against mpmath; the scalar kernels
+    themselves are checked to 1e-14 in
+    test_series_kernels_against_mpmath."""
     for kappa in (1e-8, 1e-6, 1e-5, 4e-5):
         got = f_functions(kappa, sign)
         want = mp_f_functions(kappa, sign)
@@ -121,6 +124,25 @@ def test_f_functions_small_kappa_high_precision(sign):
         want = mp_f_functions(kappa, sign)
         for g, w in zip(got, want):
             assert abs(g - w) <= 2e-7 * abs(w)
+
+
+def test_series_kernels_against_mpmath():
+    """sinh(u)/u - 1 and 1 - sin(u)/u keep 1e-14 relative accuracy on a
+    log grid of u in [1e-8, 2], across the series switch and just above
+    1e-4, where the direct forms cancel to 1e-8, for arrays and for
+    scalars alike."""
+    us = np.concatenate([np.geomspace(1e-8, 2.0, 601),
+                         [1.04e-4, 1e-3, SERIES_KAPPA * (1.0 - 1e-12),
+                          SERIES_KAPPA]])
+    mp.mp.dps = 40
+    for u, sh, s in zip(us, _sinhc_minus_one(us), _one_minus_sinc(us)):
+        m = mp.mpf(float(u))
+        want_sh = float(mp.sinh(m) / m - 1)
+        want_s = float(1 - mp.sin(m) / m)
+        assert abs(sh - want_sh) <= 1e-14 * want_sh, u
+        assert abs(s - want_s) <= 1e-14 * want_s, u
+        # scalars take their own path; it must give the same values
+        assert _sinhc_minus_one(u) == sh and _one_minus_sinc(u) == s, u
 
 
 @pytest.mark.parametrize("sign", [POS, NEG], ids=["positive", "negative"])
@@ -333,9 +355,9 @@ def batch_ode_norm_diff(model, vs, ws, us, step=1e-3):
         np.stack([v.comps for v in vs]),
         np.stack([w.comps for w in ws]))
     out = integrate_batch(model, state, 1.0, step)
-    g1 = model.metric_batch(out.coords)
+    g1 = metric_batch(model, out.coords)
     n1 = np.einsum("mi,mij,mj->m", out.jac, g1, out.jac)
-    g0 = model.metric_batch(p_coords)
+    g0 = metric_batch(model, p_coords)
     v0 = np.stack([v.comps for v in vs])
     n0 = np.einsum("mi,mij,mj->m", v0, g0, v0)
     return n1 - n0
