@@ -46,11 +46,10 @@ def euclidean_bound(alpha: float) -> BoundResult:
                        kappa_at_h=0.0)
 
 
-def _bisect_nonpositive(F, lo: float, hi: float, rtol: float) -> float:
+def _bisect_nonpositive(F, lo: float, hi: float) -> float:
     """Largest h in [lo, hi] with F(h) <= 0, given F(lo) <= 0 < F(hi),
-    bisected until the bracket is narrower than rtol * hi (rtol = 0
-    bisects to the last bit)."""
-    while hi - lo > rtol * hi:
+    bisected to the last bit."""
+    while lo < hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -91,7 +90,7 @@ def bound_positive(consts: RegionConstants) -> BoundResult:
         binding = "flat" if 2.0 * alpha <= cap else "kappa-cap"
         h = ceiling
     else:
-        h = _bisect_nonpositive(F, 0.0, ceiling, 0.0)
+        h = _bisect_nonpositive(F, 0.0, ceiling)
         binding = "curvature"
     return BoundResult(h_max=h, rule="positive", binding=binding,
                        kappa_at_h=h * scale)

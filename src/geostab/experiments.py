@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (BoundResult, _bisect_nonpositive, bound_negative,
-                     bound_positive, bound_singular)
+from .bounds import (BoundResult, bound_negative, bound_positive,
+                     bound_singular)
 from .constants import point_constants
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
@@ -39,7 +39,10 @@ CSV_HEADER = "example,epsilon,base1,base2,h_numeric,h_theory,kappa_at_h,binding"
 
 DEFAULT_EPSILONS = (0.5, 1.0, 2.0)
 DEFAULT_GRID = 40
+DEFAULT_H_LO = 1e-6
 DEFAULT_H_CAP = 1e3
+LOCKSTEP_BATCH = 32  # (row, step) pairs per batch of _lockstep_hmax that
+#                      fewer rows fill with several steps each
 CROSS_CHECK_RTOL = 1e-8
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
@@ -202,6 +205,7 @@ class _SweepKernel:
         g = manifold.metric(p)
         E = manifold.frame(p, X).matrix
         A = field.covariant_matrix(p)
+        self.point = p
         self.dim = manifold.dim
         self.sign = curvature_sign(manifold.rho)
         self.N = E.T @ g @ A @ E
@@ -257,8 +261,96 @@ def direction_sweep_delta(field: FieldModel, manifold: ManifoldModel,
     return _SweepKernel(field, manifold, p).worst(h)
 
 
+def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
+                   tol_h: float) -> np.ndarray:
+    """numerical_hmax at the points of many kernels in one search.
+
+    The rows run the doubling bracket and the bisection of the one-point
+    search in lockstep: each batch takes λ_max of M(h) at every (row,
+    step) pair it holds in one eigvalsh call.  The bracket scans the
+    fixed sequence h_lo, h_hi, min(max(1e-3, 2 h_lo) 2^k, h_hi), and each
+    row takes its first expansive doubling step.  The bisection halves
+    every row's bracket at 0.5 (lo + hi) until that row's stop rule
+    holds.  Fewer rows than LOCKSTEP_BATCH take several steps each per
+    batch: the whole bracket sequence, or the midpoints of the next few
+    halvings (five levels for a single row), which a walk down each
+    row's dyadic grid then reads.  Every row therefore visits exactly
+    the steps of the sequential search.
+    """
+    N = np.stack([k.N for k in kernels])
+    scale = np.array([k.scale for k in kernels])
+    eye = np.eye(kernels[0].dim)
+    sign = kernels[0].sign
+
+    def nonpositive(rows, h):
+        """λ_max(M(h)) <= 0 at each (row, step) pair."""
+        M = variation_form(eye, h[:, None, None] * N[rows], h * scale[rows],
+                           sign)
+        return np.linalg.eigvalsh(M)[:, -1] <= 0.0
+
+    doubling = [min(max(1e-3, 2.0 * h_lo), h_hi)]
+    while doubling[-1] < h_hi:
+        doubling.append(min(2.0 * doubling[-1], h_hi))
+    steps = np.array([h_lo, h_hi] + doubling)
+    n = len(kernels)
+    # A batch takes the next steps of every row that has not yet found
+    # its first expansive doubling step, as many as keep the batch near
+    # LOCKSTEP_BATCH steps (h_lo and h_hi at least); steps left out stay
+    # marked calm, so a row's first expansive step is found either way.
+    calm = np.ones((n, steps.size), dtype=bool)
+    live, start = np.arange(n), 0
+    while live.size and start < steps.size:
+        cols = steps[start:start + max(2, LOCKSTEP_BATCH // live.size)]
+        stop = start + cols.size
+        calm[live, start:stop] = nonpositive(
+            np.repeat(live, cols.size),
+            np.tile(cols, live.size)).reshape(live.size, -1)
+        live = live[~calm[live, 1] & calm[live, 2:stop].all(axis=1)]
+        start = stop
+    for k, stable in zip(kernels, calm[:, 0]):
+        if not stable:
+            raise BracketError(f"step already expansive at h_lo = {h_lo:g} "
+                               f"at {k.point!r}")
+    out = np.full(n, math.inf)
+    rows = np.flatnonzero(~calm[:, 1])
+    first = np.argmin(calm[rows, 2:], axis=1)
+    hi = steps[2 + first]
+    lo = np.where(first > 0, steps[1 + first], h_lo)
+    while rows.size:
+        levels = max(1, int(math.log2(LOCKSTEP_BATCH / rows.size + 1.0)))
+        # the next `levels` halvings of each row's bracket lie on a dyadic
+        # grid of 2^levels + 1 points, filled level by level
+        width = 1 << levels
+        grid = np.empty((rows.size, width + 1))
+        grid[:, 0], grid[:, -1] = lo, hi
+        half = width
+        while half > 1:
+            grid[:, half // 2::half] = 0.5 * (grid[:, :-1:half]
+                                              + grid[:, half::half])
+            half //= 2
+        down = nonpositive(np.repeat(rows, width - 1),
+                           grid[:, 1:-1].ravel()).reshape(rows.size, -1)
+        kept, lo, hi = [], [], []
+        for row, g, d in zip(rows.tolist(), grid.tolist(), down.tolist()):
+            pos, half = 0, width // 2
+            while half:
+                left, mid, right = g[pos], g[pos + half], g[pos + 2 * half]
+                if (not right - left > tol_h * right or mid == left
+                        or mid == right):
+                    out[row] = left
+                    break
+                pos += half * d[pos + half - 1]
+                half //= 2
+            else:
+                kept.append(row)
+                lo.append(g[pos])
+                hi.append(g[pos + 1])
+        rows, lo, hi = np.array(kept, dtype=int), np.array(lo), np.array(hi)
+    return out
+
+
 def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
-                   h_lo: float = 1e-6, h_hi: float = DEFAULT_H_CAP,
+                   h_lo: float = DEFAULT_H_LO, h_hi: float = DEFAULT_H_CAP,
                    tol_h: float = 1e-6) -> float:
     """Largest step whose worst-direction Δ stays nonpositive.
 
@@ -267,17 +359,10 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
     nonpositive end of the final bracket, so the worst Δ changes sign
     within relative tol_h above it.  When even h_hi is not expansive
     the step is unconditionally stable up to h_hi and math.inf is
-    returned.
+    returned.  This is the lockstep search of figure_sweep on one row.
     """
-    worst = _SweepKernel(field, manifold, p).worst
-    if worst(h_lo) > 0.0:
-        raise BracketError(f"step already expansive at h_lo = {h_lo:g}")
-    if worst(h_hi) <= 0.0:
-        return math.inf
-    lo, hi = h_lo, min(max(1e-3, 2.0 * h_lo), h_hi)
-    while worst(hi) <= 0.0:
-        lo, hi = hi, min(2.0 * hi, h_hi)
-    return _bisect_nonpositive(worst, lo, hi, tol_h)
+    kernel = _SweepKernel(field, manifold, p)
+    return float(_lockstep_hmax([kernel], h_lo, h_hi, tol_h)[0])
 
 
 def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
@@ -354,17 +439,6 @@ class SweepRow:
     binding: str
 
 
-def _sweep_row(family: ExampleFamily, eps: float, b1: float,
-               b2: Optional[float], tol_h: float) -> SweepRow:
-    field = family.make_field(eps)
-    p = family.manifold.point(family.to_coords(b1, b2))
-    res = theory_bound(family.name, eps, p)
-    h_num = numerical_hmax(field, family.manifold, p, tol_h=tol_h)
-    return SweepRow(example=family.name, epsilon=eps, base1=b1, base2=b2,
-                    h_numeric=h_num, h_theory=res.h_max,
-                    kappa_at_h=res.kappa_at_h, binding=res.binding)
-
-
 def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
                  base_grid=DEFAULT_GRID, tol_h: float = 1e-6) -> list:
     """Empirical versus certified step over a grid of base points.
@@ -372,12 +446,26 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     base_grid is either a point count for the family's default grid or
     an explicit list of (base1, base2) pairs.  Rows are ordered by
     (epsilon, grid index), so repeated runs produce identical tables.
+    The empirical steps of all rows come from one lockstep search.
     """
     family = get_example(example)
     if isinstance(base_grid, int):
         base_grid = family.default_grid(base_grid)
-    return [_sweep_row(family, eps, b1, b2, tol_h)
-            for eps in epsilons for (b1, b2) in base_grid]
+    keys, bounds, kernels = [], [], []
+    for eps in epsilons:
+        field = family.make_field(eps)
+        for b1, b2 in base_grid:
+            p = family.manifold.point(family.to_coords(b1, b2))
+            keys.append((eps, b1, b2))
+            bounds.append(theory_bound(family.name, eps, p))
+            kernels.append(_SweepKernel(field, family.manifold, p))
+    if not kernels:
+        return []
+    h_num = _lockstep_hmax(kernels, DEFAULT_H_LO, DEFAULT_H_CAP, tol_h)
+    return [SweepRow(example=family.name, epsilon=eps, base1=b1, base2=b2,
+                     h_numeric=float(h), h_theory=res.h_max,
+                     kappa_at_h=res.kappa_at_h, binding=res.binding)
+            for (eps, b1, b2), res, h in zip(keys, bounds, h_num)]
 
 
 def _fmt(x: float) -> str:

@@ -21,7 +21,7 @@ is measured by the defect d(exp_q(-h*X|_q), p).
 
 import numpy as np
 
-from .errors import GeostabError, NonconvergenceError
+from .errors import ChartExitError, GeostabError, NonconvergenceError
 from .fields import FieldModel
 from .manifolds import ChartPoint
 
@@ -51,9 +51,11 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float,
     Simplified Newton iteration on the step v at p, started from the
     explicit step v = h * X|_p, with the Jacobian I - h * A_p frozen at
     p.  Raises NonconvergenceError (carrying the final defect) when the
-    defect does not reach tol within max_iter iterations, and at once
-    when I - h * A_p is singular, where neither this iteration nor plain
-    fixed-point iteration can converge.
+    defect does not reach tol within max_iter iterations, at once when
+    I - h * A_p is singular, where neither this iteration nor plain
+    fixed-point iteration can converge, and when an iterate leaves the
+    chart (with the ChartExitError as its cause and the last defect
+    computed before it).
     """
     model = field.manifold
     v = h * field.eval(p).comps
@@ -68,14 +70,21 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float,
             f"implicit step from {p!r} with h = {h:.6g}: I - h * grad X is "
             f"singular (defect {defect:.3e} after 0 iterations)",
             defect=defect) from None
-    for _ in range(max_iter):
-        X = field.eval(q)
-        moved = model.transport(model.tangent(q, h * X.comps), model.log(q, p))
-        v = v - inv @ (v - moved.comps)
-        q = model.exp(p, model.tangent(p, v))
-        defect = _gie_defect(field, q, h, p)
-        if defect <= tol:
-            return q
+    try:
+        for it in range(1, max_iter + 1):
+            X = field.eval(q)
+            moved = model.transport(model.tangent(q, h * X.comps),
+                                    model.log(q, p))
+            v = v - inv @ (v - moved.comps)
+            q = model.exp(p, model.tangent(p, v))
+            defect = _gie_defect(field, q, h, p)
+            if defect <= tol:
+                return q
+    except ChartExitError as exc:
+        raise NonconvergenceError(
+            f"implicit step from {p!r} with h = {h:.6g} left the chart in "
+            f"iteration {it} (last defect {defect:.3e})",
+            defect=defect) from exc
     raise NonconvergenceError(
         f"implicit step from {p!r} with h = {h:.6g} did not converge in "
         f"{max_iter} iterations (defect {defect:.3e} > tol {tol:.1e})",

@@ -136,11 +136,13 @@ def f_functions(kappa, sign: CurvatureSign):
     if sign is CurvatureSign.POSITIVE:
         f1 = np.sin(kappa) ** 2
         f2 = _one_minus_sinc(2.0 * kappa)  # 1 - cos(k)sin(k)/k
-        f3 = _one_minus_sinc(kappa) * (1.0 + _sinc(kappa))
+        g = _one_minus_sinc(kappa)
+        f3 = g * (1.0 + (1.0 - g))  # (1 - sinc)(1 + sinc)
     elif sign is CurvatureSign.NEGATIVE:
         f1 = np.sinh(kappa) ** 2
         f2 = _sinhc_minus_one(2.0 * kappa)
-        f3 = _sinhc_minus_one(kappa) * (1.0 + _sinhc(kappa))
+        g = _sinhc_minus_one(kappa)
+        f3 = g * (1.0 + (1.0 + g))  # (sinhc - 1)(1 + sinhc)
     else:
         z = np.zeros_like(kappa)
         f1, f2, f3 = z, z.copy(), z.copy()
@@ -219,15 +221,59 @@ def variation_data(v: TangentVector, w: TangentVector,
     return JacobiData(a, b, kappa, curvature_sign(model.rho))
 
 
+def _rows(x):
+    """The leading row of x (the along-geodesic coefficients) and the
+    rest; rows are the first axis of a vector, the second-to-last of a
+    matrix or a stack of matrices."""
+    if x.ndim == 1:
+        return x[:1], x[1:]
+    return x[..., :1, :], x[..., 1:, :]
+
+
+def _T(x):
+    return x if np.ndim(x) < 2 else x.swapaxes(-1, -2)
+
+
 def _sym(x):
-    return x + x.T
+    return x + _T(x)
 
 
 def _gram(x):
-    return x.T @ x
+    return _T(x) @ x
 
 
-def variation_form(a, b, kappa: float, sign: CurvatureSign):
+def _elementwise(fn, x):
+    """The math function fn at a scalar x or at every element of x.
+
+    numpy's vectorised exp and expm1 may differ from the math module in
+    the last bit, so a stack takes the same math calls as one kappa."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    out = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
+    return out.reshape(x.shape)
+
+
+def _form(a, b, kappa, sign: CurvatureSign, split: bool):
+    """The form of variation_form at one kappa, or at a stack of them of
+    shape (n, 1, 1) against stacked a and b; split selects the expm1
+    split of the negative branch."""
+    a0, a1 = _rows(a)
+    b0, b1 = _rows(b)
+    if split:
+        t = b1 / kappa
+        excess = np.maximum(kappa - GROWTH_KAPPA_CAP, 0.0)
+        rest = (_gram(b0) + _sym(_T(a0) @ b0)
+                + _elementwise(math.expm1, -2.0 * kappa) / 4.0
+                * _gram(a1 - t))
+        return (_elementwise(math.exp, -2.0 * excess) * rest
+                + _elementwise(math.expm1, 2.0 * (kappa - excess)) / 4.0
+                * _gram(a1 + t))
+    f1, f2, f3 = f_functions(kappa, sign)
+    return _gram(b) + _sym(_T(a) @ b) - sign.value * (
+        f1 * _gram(a1) + f2 * _sym(_T(a1) @ b1) + f3 * _gram(b1))
+
+
+def variation_form(a, b, kappa, sign: CurvatureSign):
     """|J(1)|^2 - |J(0)|^2 as a quadratic form in the frame coefficients.
 
     a and b hold the coefficients of J(0) and of its covariant rate at
@@ -235,7 +281,10 @@ def variation_form(a, b, kappa: float, sign: CurvatureSign):
     variation.  Given d x k matrices whose columns are k variations, it
     is the symmetric k x k matrix M of the form: the variation with
     coefficients (a x, b x) changes by x^T M x.  With a = I the largest
-    eigenvalue of M is the worst change over unit directions.
+    eigenvalue of M is the worst change over unit directions.  Given
+    kappa of shape (n,) and b of shape (n, d, k) (a of shape (d, k) or
+    (n, d, k)), the result is the (n, k, k) stack of these matrices, each
+    equal to the one of its own kappa.
 
     The form is |b|^2 + 2<a,b> - s(rho) * sum_{i>=2} (a_i^2 f1
     + 2 a_i b_i f2 + b_i^2 f3).  On negative curvature from kappa = 1
@@ -251,20 +300,19 @@ def variation_form(a, b, kappa: float, sign: CurvatureSign):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if sign is CurvatureSign.NEGATIVE and kappa >= SPLIT_KAPPA:
-        t = b[1:] / kappa
-        excess = max(kappa - GROWTH_KAPPA_CAP, 0.0)
-        rest = (_gram(b[:1]) + _sym(a[:1].T @ b[:1])
-                + math.expm1(-2.0 * kappa) / 4.0 * _gram(a[1:] - t))
-        out = (math.exp(-2.0 * excess) * rest
-               + math.expm1(2.0 * (kappa - excess)) / 4.0
-               * _gram(a[1:] + t))
-    else:
-        f1, f2, f3 = f_functions(kappa, sign)
-        out = _gram(b) + _sym(a.T @ b) - sign.value * (
-            f1 * _gram(a[1:]) + f2 * _sym(a[1:].T @ b[1:])
-            + f3 * _gram(b[1:]))
-    return float(out) if np.ndim(out) == 0 else out
+    negative = sign is CurvatureSign.NEGATIVE
+    if np.ndim(kappa) == 0:
+        out = _form(a, b, kappa, sign, negative and kappa >= SPLIT_KAPPA)
+        return float(out) if np.ndim(out) == 0 else out
+    kappa = np.asarray(kappa, dtype=float)[:, None, None]
+    split = kappa[:, 0, 0] >= SPLIT_KAPPA
+    if not negative or split.all() or not split.any():
+        return _form(a, b, kappa, sign, negative and bool(split.any()))
+    a = np.broadcast_to(a, b.shape)
+    out = np.empty(b.shape[:1] + 2 * b.shape[-1:])
+    for part, is_split in ((split, True), (~split, False)):
+        out[part] = _form(a[part], b[part], kappa[part], sign, is_split)
+    return out
 
 
 def norm_diff(v: TangentVector, w: TangentVector, u: TangentVector) -> float:

@@ -20,6 +20,7 @@ exactly on one are nudged by 1e-12 toward the chart interior (undefined
 angles default to theta = pi/2 and phi = 0).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,8 +481,10 @@ class HalfPlane(ManifoldModel):
     def distance(self, p, q):
         x0, y0 = p.coords
         x1, y1 = q.coords
-        u = ((x1 - x0) ** 2 + (y1 - y0) ** 2) / (2.0 * y0 * y1)
-        return float(np.log1p(u + np.sqrt(u * (u + 2.0))))
+        # acosh(1 + |q - p|^2 / (2 y0 y1)) in a form that neither cancels
+        # for near points nor overflows for far ones
+        return 2.0 * math.asinh(math.hypot(x1 - x0, y1 - y0)
+                                / (2.0 * math.sqrt(y0) * math.sqrt(y1)))
 
     def log(self, p, q):
         x0, y0 = p.coords

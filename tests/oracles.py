@@ -1,11 +1,16 @@
-"""Test-only oracles: the sampled direction sweep and the plain
-fixed-point implicit step.
+"""Test-only oracles: the sampled direction sweep, the sequential
+empirical step search and the plain fixed-point implicit step.
 
 The sampled direction sweep evaluates Δ on a coarse grid of unit frame
 directions (512 angles in dimension two, a 2048-point Fibonacci sphere in
 dimension three), then on local grids around the best direction found
 so far.  It can only approach the worst direction from below, so the
 exact largest eigenvalue must dominate it and agree with it closely.
+
+The sequential step search is the one-point search as a plain loop:
+scalar λ_max calls on the doubling bracket, then scalar bisection.  The
+lockstep search of ``geostab.experiments`` must visit the same steps and
+so return the same h_numeric, bit for bit.
 
 The fixed-point implicit step iterates q <- exp_p(G(q)), with G moving
 h * X|_q back to p by parallel transport; it converges only while the
@@ -17,8 +22,9 @@ import math
 
 import numpy as np
 
-from geostab.errors import NonconvergenceError
-from geostab.experiments import sweep_deltas, unit_directions
+from geostab.errors import BracketError, NonconvergenceError
+from geostab.experiments import (DEFAULT_H_CAP, DEFAULT_H_LO, _SweepKernel,
+                                 sweep_deltas, unit_directions)
 from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
 
 DEFAULT_DIRS = {2: 512, 3: 2048}
@@ -78,6 +84,30 @@ def refined_sweep(field, manifold, p, h, n_dirs=None):
         else:
             best = fine[k]
     return np.concatenate(seen)
+
+
+def sequential_hmax(field, manifold, p, h_lo=DEFAULT_H_LO,
+                    h_hi=DEFAULT_H_CAP, tol_h=1e-6):
+    """numerical_hmax one λ_max call at a time: doubling from
+    max(1e-3, 2 h_lo) until the worst Δ turns positive, then bisection to
+    relative width tol_h."""
+    worst = _SweepKernel(field, manifold, p).worst
+    if worst(h_lo) > 0.0:
+        raise BracketError(f"step already expansive at h_lo = {h_lo:g}")
+    if worst(h_hi) <= 0.0:
+        return math.inf
+    lo, hi = h_lo, min(max(1e-3, 2.0 * h_lo), h_hi)
+    while worst(hi) <= 0.0:
+        lo, hi = hi, min(2.0 * hi, h_hi)
+    while hi - lo > tol_h * hi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if worst(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def fixed_point_gie_step(field, p, h, tol=GIE_TOL, max_iter=GIE_MAX_ITER):

@@ -1,12 +1,14 @@
 """Direction sweeps, empirical step limits, comparison tables, CSV I/O.
 
 Oracles: the parallelogram law for the quadratic variation form, the
-refined sampled direction sweep, scipy maximisation of the closed-form
-variation norm over direction angles, actual two-point contraction
-ratios of the stepper, and exact CSV round-trips.
+refined sampled direction sweep, the sequential step search, scipy
+maximisation of the closed-form variation norm over direction angles,
+actual two-point contraction ratios of the stepper, and exact CSV
+round-trips.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from geostab.experiments import (
     CSV_HEADER,
     EXAMPLES,
     SweepRow,
+    _lockstep_hmax,
+    _SweepKernel,
     direction_sweep_delta,
     figure_sweep,
     get_example,
@@ -36,7 +40,7 @@ from geostab.experiments import (
 from geostab.jacobi import gee_jacobi_data, jacobi_norm
 
 from conftest import make_field
-from oracles import refined_sweep
+from oracles import refined_sweep, sequential_hmax
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +278,76 @@ def test_numerical_hmax_bad_bracket():
     m = field.manifold
     with pytest.raises(BracketError):
         numerical_hmax(field, m, m.point((0.9, 0.0)), h_lo=10.0)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_BOXES))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_lockstep_hmax_matches_sequential_search(name, data, n):
+    """Several random points with their own ε in [0.5, 2], searched in one
+    lockstep call, give h_numeric equal to the sequential search bit for
+    bit; so does numerical_hmax at each point alone."""
+    kernels, want = [], []
+    for i in range(n):
+        coords = tuple(data.draw(st.floats(lo, hi), label=f"point{i}")
+                       for lo, hi in SAMPLE_BOXES[name])
+        field = make_field(name, eps=data.draw(st.floats(0.5, 2.0),
+                                               label=f"eps{i}"))
+        m = field.manifold
+        p = m.point(coords)
+        kernels.append(_SweepKernel(field, m, p))
+        want.append(sequential_hmax(field, m, p))
+        assert numerical_hmax(field, m, p) == want[-1]
+    assert _lockstep_hmax(kernels, 1e-6, 1e3, 1e-6).tolist() == want
+
+
+def test_lockstep_hmax_mixes_finite_and_unconditional_rows(rng):
+    """40 rows, every fifth an h2-singular one and the rest h2, share one
+    search, many rows per batch; the singular rows stay inf and the others
+    match the sequential search, also at a coarse tol_h, at tol_h = 0
+    (bisection to the last bit), at a low h_hi, and at an h_lo so high
+    that one row's bracket ends at the first doubling step."""
+    m = get_example("h2").manifold
+    cases = [(make_field("h2-singular") if i % 5 == 1
+              else make_field("h2", eps=float(rng.uniform(0.5, 2.0))),
+              m.point((float(rng.uniform(-2.0, 2.0)),
+                       float(rng.uniform(0.2, 5.0)))))
+             for i in range(40)]
+    kernels = [_SweepKernel(f, m, p) for f, p in cases]
+    h_min = min(sequential_hmax(f, m, p) for f, p in cases)
+    for h_lo, h_hi, tol_h in ((1e-6, 1e3, 1e-6), (1e-6, 1e3, 1e-2),
+                              (1e-6, 1e3, 0.0), (1e-6, 0.4, 1e-6),
+                              (0.75 * h_min, 1e3, 1e-6)):
+        want = [sequential_hmax(f, m, p, h_lo, h_hi, tol_h)
+                for f, p in cases]
+        got = _lockstep_hmax(kernels, h_lo, h_hi, tol_h).tolist()
+        assert got == want
+        assert all(h == math.inf for h in got[1::5])
+
+
+def test_h2_singular_sweep_keeps_inf_rows():
+    rows = figure_sweep("h2-singular", epsilons=(0.5, 2.0),
+                        base_grid=[(0.2, None), (1.0, None), (5.0, None)])
+    assert len(rows) == 6
+    assert all(r.h_numeric == math.inf and r.h_theory == math.inf
+               for r in rows)
+
+
+def test_lockstep_bracket_error_names_its_point():
+    """With h_lo above the step limit of one of three points, the search
+    fails naming that point."""
+    field = make_field("s2", eps=1.0)
+    m = field.manifold
+    points = [m.point((phi, 0.0)) for phi in (0.9, 0.4, 1.3)]
+    limits = [numerical_hmax(field, m, p) for p in points]
+    worst = int(np.argmin(limits))
+    h_lo = 0.5 * (limits[worst] + sorted(limits)[1])
+    kernels = [_SweepKernel(field, m, p) for p in points]
+    with pytest.raises(BracketError) as info:
+        _lockstep_hmax(kernels, h_lo, 1e3, 1e-6)
+    assert repr(points[worst]) in str(info.value)
+    with pytest.raises(BracketError, match=re.escape(repr(points[worst]))):
+        numerical_hmax(field, m, points[worst], h_lo=h_lo)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ and a chart-coordinate RK4 flow for convergence order.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geostab import integrators
-from geostab.errors import GeostabError, NonconvergenceError
+from geostab.errors import ChartExitError, GeostabError, NonconvergenceError
 from geostab.experiments import get_example, theory_bound
-from geostab.fields import (generic_field, h2_singular_field, linear_field,
-                            s2_field)
+from geostab.fields import (generic_field, h2_field, h2_singular_field,
+                            linear_field, s2_field)
 from geostab.integrators import (
     GIE_MAX_ITER,
     GIE_TOL,
@@ -158,6 +159,23 @@ def test_gie_step_nonconvergence_reports_defect():
     message = str(info.value)
     assert repr(p) in message and "h = 0.4" in message
     assert f"{GIE_MAX_ITER} iterations" in message
+
+
+@pytest.mark.parametrize("eps, coords, h", [(0.5, (0.0, 1.0), 3.0),
+                                             (1.0, (0.0, 0.3), 1.0)])
+def test_gie_step_chart_exit_is_nonconvergence(eps, coords, h):
+    """A Newton iterate that leaves the half-plane chart ends the step
+    with NonconvergenceError, caused by the ChartExitError, naming the
+    point, h and the iteration, and carrying the last finite defect."""
+    field = h2_field(eps)
+    p = HALF_PLANE.point(coords)
+    with pytest.raises(NonconvergenceError) as info:
+        gie_step(field, p, h)
+    assert isinstance(info.value.__cause__, ChartExitError)
+    assert math.isfinite(info.value.defect) and info.value.defect > GIE_TOL
+    message = str(info.value)
+    assert repr(p) in message and f"h = {h:.6g}" in message
+    assert re.search(r"in iteration [1-9][0-9]* ", message)
 
 
 def test_gie_step_converges_in_few_defect_evaluations(monkeypatch):

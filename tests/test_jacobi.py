@@ -18,7 +18,9 @@ from odes import BatchVariationState, integrate_batch, metric_batch
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import linear_field, s2_field
 from geostab.jacobi import (
+    GROWTH_KAPPA_CAP,
     SERIES_KAPPA,
+    SPLIT_KAPPA,
     CurvatureSign,
     _one_minus_sinc,
     _sinhc_minus_one,
@@ -432,6 +434,29 @@ def test_variation_form_matrix_matches_vectors(sign, kappa, rng):
     for x in rng.normal(size=(5, 3)):
         want = variation_form(x, B @ x, kappa, sign)
         assert abs(x @ M @ x - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("sign", [POS, NEG, ZERO], ids=["pos", "neg", "zero"])
+def test_variation_form_stack_matches_scalar_calls(sign, rng):
+    """A stack of kappas, below SPLIT_KAPPA, at and above it, and beyond
+    GROWTH_KAPPA_CAP, gives each element's scalar matrix bit for bit,
+    against a shared a = I and against stacked a.  (numpy's expm1 and
+    exp differ from the math module's in the last bit for about one
+    argument in ten, so many kappas are needed to see such a slip.)"""
+    kappa = np.concatenate([[0.999, SPLIT_KAPPA, GROWTH_KAPPA_CAP],
+                            np.geomspace(1e-5, 1e3, 150)])
+    assert kappa.min() < SPLIT_KAPPA and kappa.max() > GROWTH_KAPPA_CAP
+    for d, k in ((2, 2), (3, 3), (3, 2)):
+        B = rng.normal(size=(kappa.size, d, k))
+        A = rng.normal(size=(kappa.size, d, k))
+        eye = np.eye(d)[:, :k]
+        for a in (eye, A):
+            stack = variation_form(a, B, kappa, sign)
+            assert stack.shape == (kappa.size, k, k)
+            for i, kap in enumerate(kappa.tolist()):
+                one = variation_form(a if a.ndim == 2 else a[i], B[i], kap,
+                                     sign)
+                assert np.array_equal(stack[i], one)
 
 
 def test_norm_diff_flat_case_exact(rng):
