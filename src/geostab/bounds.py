@@ -22,10 +22,12 @@ import numpy as np
 
 from .constants import RegionConstants
 from .errors import GeostabError, InconsistentConstantsError, NoBoundError
-from .jacobi import (CurvatureSign, _sinhc_minus_one, curvature_penalty,
-                     f_functions)
+from .jacobi import CurvatureSign, _f_of, _penalty, _terms
 
+POS, NEG = CurvatureSign.POSITIVE, CurvatureSign.NEGATIVE
 R_TOL = 1e-12
+LOCKSTEP_BATCH = 32  # (row, step) pairs per batch of a lockstep search
+#                      that fewer rows fill with several steps each
 
 
 @dataclass(frozen=True)
@@ -46,18 +48,87 @@ def euclidean_bound(alpha: float) -> BoundResult:
                        kappa_at_h=0.0)
 
 
-def _bisect_nonpositive(F, lo: float, hi: float) -> float:
-    """Largest h in [lo, hi] with F(h) <= 0, given F(lo) <= 0 < F(hi),
-    bisected to the last bit."""
-    while lo < hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if F(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _bisect_rows(nonpositive, lo, hi, tol: float) -> np.ndarray:
+    """The nonpositive end of each row's bracket [lo, hi], bisected for
+    all rows in lockstep; nonpositive(rows, h) is true at lo, false at hi.
+
+    Each row halves its bracket at 0.5 (lo + hi) until hi - lo <= tol * hi
+    or the midpoint equals an end (tol = 0: to the last bit).  A batch
+    takes the next few halvings of every live row, about LOCKSTEP_BATCH
+    pairs (five levels for one row), on the row's dyadic grid, which a
+    walk then reads; so every row visits the steps of a plain bisection.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out, rows = lo.copy(), np.arange(lo.size)
+    while rows.size:
+        levels = max(1, int(math.log2(LOCKSTEP_BATCH / rows.size + 1.0)))
+        # the next `levels` halvings of each row's bracket lie on a dyadic
+        # grid of 2^levels + 1 points, filled level by level
+        width = 1 << levels
+        grid = np.empty((rows.size, width + 1))
+        grid[:, 0], grid[:, -1] = lo, hi
+        half = width
+        while half > 1:
+            grid[:, half // 2::half] = 0.5 * (grid[:, :-1:half]
+                                              + grid[:, half::half])
+            half //= 2
+        down = nonpositive(np.repeat(rows, width - 1),
+                           grid[:, 1:-1].ravel()).reshape(rows.size, -1)
+        kept, lo, hi = [], [], []
+        for row, g, d in zip(rows.tolist(), grid.tolist(), down.tolist()):
+            pos, half = 0, width // 2
+            while half:
+                left, mid, right = g[pos], g[pos + half], g[pos + 2 * half]
+                if (not right - left > tol * right or mid == left
+                        or mid == right):
+                    out[row] = left
+                    break
+                pos += half * d[pos + half - 1]
+                half //= 2
+            else:
+                kept.append(row)
+                lo.append(g[pos])
+                hi.append(g[pos + 1])
+        rows, lo, hi = np.array(kept, dtype=int), np.array(lo), np.array(hi)
+    return out
+
+
+def _positive_rows(consts_seq) -> list:
+    """bound_positive at every constant set of consts_seq, in one search:
+    the rows are checked in order, one vectorised call makes every
+    ceiling test, and the curvature-binding rows bisect in lockstep."""
+    for consts in consts_seq:
+        if consts.rho <= 0:
+            raise GeostabError("positive-curvature rule needs rho > 0")
+        if not (consts.alpha > 0) or not math.isfinite(consts.alpha):
+            raise NoBoundError("rule needs a finite positive cocoercivity "
+                               "constant")
+        if consts.sup_norm <= 0:
+            raise NoBoundError("field norm bound must be positive")
+        if not math.isfinite(consts.mu_plus):
+            raise NoBoundError("projection constant is infinite; no "
+                               "positive step is certified")
+    alpha, mu, scale = np.array(
+        [(c.alpha, c.mu_plus, c.sup_norm * math.sqrt(c.rho))
+         for c in consts_seq], dtype=float).reshape(-1, 3).T
+    cap = math.pi / scale
+
+    def nonpositive(rows, h):
+        """F(h) = h - 2 alpha + 2 mu G(h s) <= 0, G as at one scalar."""
+        k = h * scale[rows]
+        G = _penalty(k, _terms(k, POS, pointwise=True), POS)
+        return h - 2.0 * alpha[rows] + 2.0 * mu[rows] * G <= 0.0
+
+    h = np.minimum(2.0 * alpha, cap)
+    flat = (mu <= 0.0) | nonpositive(np.arange(h.size), h)
+    curved = np.flatnonzero(~flat)
+    h[curved] = _bisect_rows(lambda rows, x: nonpositive(curved[rows], x),
+                             np.zeros(curved.size), h[curved], 0.0)
+    bindings = np.where(flat, np.where(2.0 * alpha <= cap, "flat",
+                                       "kappa-cap"), "curvature")
+    return [BoundResult(h_max=hi, rule="positive", binding=str(b),
+                        kappa_at_h=hi * s)
+            for hi, b, s in zip(h.tolist(), bindings, scale.tolist())]
 
 
 def bound_positive(consts: RegionConstants) -> BoundResult:
@@ -67,68 +138,46 @@ def bound_positive(consts: RegionConstants) -> BoundResult:
     curvature penalty, capped at kappa = pi where the penalty analysis
     stops.
     """
-    if consts.rho <= 0:
-        raise GeostabError("positive-curvature rule needs rho > 0")
-    alpha, mu, C = consts.alpha, consts.mu_plus, consts.sup_norm
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise NoBoundError("rule needs a finite positive cocoercivity "
-                           "constant")
-    if C <= 0:
-        raise NoBoundError("field norm bound must be positive")
-    if not math.isfinite(mu):
-        raise NoBoundError("projection constant is infinite; no positive "
-                           "step is certified")
-    scale = C * math.sqrt(consts.rho)
-    cap = math.pi / scale
-
-    def F(h):
-        return h - 2.0 * alpha + 2.0 * mu * float(
-            curvature_penalty(h * scale, CurvatureSign.POSITIVE))
-
-    ceiling = min(2.0 * alpha, cap)
-    if mu <= 0.0 or F(ceiling) <= 0.0:
-        binding = "flat" if 2.0 * alpha <= cap else "kappa-cap"
-        h = ceiling
-    else:
-        h = _bisect_nonpositive(F, 0.0, ceiling)
-        binding = "curvature"
-    return BoundResult(h_max=h, rule="positive", binding=binding,
-                       kappa_at_h=h * scale)
+    return _positive_rows([consts])[0]
 
 
-def _kappa_coth_minus_one(kappa: np.ndarray) -> np.ndarray:
+def _negative_terms(kappa):
+    """The negative-branch curvature terms at kappa up to 300, and at 0
+    beyond, where the damped penalty is zero."""
+    return _terms(np.where(kappa > 300.0, 0.0, kappa), NEG)
+
+
+def _kappa_coth_minus_one(kappa, terms) -> np.ndarray:
     """kappa*coth(kappa) - 1 = (cosh - sinhc) / sinhc, with cosh - 1 and
     sinhc - 1 taken apart so that the result keeps its relative accuracy
     below kappa = 1e-4; linear tail for large arguments where coth is 1
-    to machine precision."""
+    to machine precision.  terms are _negative_terms(kappa)."""
     kappa = np.asarray(kappa, dtype=float)
-    big = kappa > 30.0
-    safe = np.where(big, 0.0, kappa)
-    sinhc_m1 = _sinhc_minus_one(safe)
-    val = (2.0 * np.sinh(0.5 * safe) ** 2 - sinhc_m1) / (1.0 + sinhc_m1)
-    return np.where(big, kappa - 1.0, val)
+    g, _, cs_diff, _ = terms
+    return np.where(kappa > 30.0, kappa - 1.0, cs_diff / (1.0 + g))
 
 
-def _damped_penalty(kappa: np.ndarray) -> np.ndarray:
+def _damped_penalty(kappa, terms) -> np.ndarray:
     """G(kappa) / (1 + f3(kappa)) on the negative-curvature branch,
-    evaluated without overflow for large kappa."""
+    evaluated without overflow for large kappa; terms as above."""
     kappa = np.asarray(kappa, dtype=float)
-    big = kappa > 300.0
-    safe = np.where(big, 0.0, kappa)
-    _, _, f3 = f_functions(safe, CurvatureSign.NEGATIVE)
-    val = curvature_penalty(safe, CurvatureSign.NEGATIVE) / (1.0 + f3)
+    # between kappa = 30 and 300 sinh^2 * f3 may overflow in the ratio,
+    # which the asymptote replaces there
+    with np.errstate(over="ignore"):
+        val = _penalty(kappa, terms, NEG) / (1.0 + _f_of(terms, NEG)[2])
     # for large kappa the ratio collapses to kappa*(coth(kappa) - 1) -> 0
-    return np.where(big, 0.0, val)
+    return np.where(kappa > 300.0, 0.0, val)
 
 
 def _negative_rhs(kappa, alpha, mu_minus, damping):
     """Admissible step at curvature scale kappa on negative models: the
     flat ceiling 2*alpha/(1 + damping) plus the curvature excess, summed
     so that a nonnegative excess never rounds the result below the
-    ceiling."""
+    ceiling; both parts read one evaluation of the curvature terms."""
     kappa = np.asarray(kappa, dtype=float)
-    excess = (alpha * _kappa_coth_minus_one(kappa)
-              - mu_minus * _damped_penalty(kappa))
+    terms = _negative_terms(kappa)
+    excess = (alpha * _kappa_coth_minus_one(kappa, terms)
+              - mu_minus * _damped_penalty(kappa, terms))
     return (2.0 * alpha + 2.0 * excess) / (1.0 + damping)
 
 

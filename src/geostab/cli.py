@@ -15,9 +15,10 @@ from typing import Optional
 from .bounds import euclidean_bound
 from .constants import point_constants
 from .errors import GeostabError
-from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, _fmt, figure_sweep,
-                          get_example, jacobi_validation, numerical_hmax,
-                          rows_to_csv, spec_grid, theory_bound, write_csv)
+from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, DEFAULT_H_LO, _fmt,
+                          figure_sweep, get_example, jacobi_validation,
+                          numerical_hmax, rows_to_csv, spec_grid,
+                          theory_bound, write_csv)
 
 SOUNDNESS_SLACK = 1e-9
 VALIDATION_TOL = 1e-6
@@ -216,12 +217,19 @@ def _config_from_args(parser, args) -> RunConfig:
                 if getattr(args, "grid", None) else None)
     except ValueError as exc:
         parser.error(str(exc))
+    if not all(map(math.isfinite, epsilons)):
+        parser.error("--epsilon values must be finite")
     tol_h = getattr(args, "tol_h", 1e-6)
-    if tol_h <= 0.0:
-        parser.error("tolerances must be positive")
+    if not 0.0 < tol_h < math.inf:
+        parser.error("tolerances must be positive and finite")
+    if not DEFAULT_H_LO < getattr(args, "h_hi", 1e3) < math.inf:
+        parser.error(f"--h-hi must be finite and above {DEFAULT_H_LO:g}")
+    if getattr(args, "cases", 1) < 1:
+        parser.error("--cases must be at least 1")
     if args.command == "bound" and args.example == "euclid":
-        if args.alpha is None:
-            parser.error("--alpha is required for the euclid example")
+        if args.alpha is None or not math.isfinite(args.alpha):
+            parser.error("a finite --alpha is required for the euclid "
+                         "example")
     return RunConfig(command=args.command,
                      example=getattr(args, "example", None),
                      epsilons=epsilons,

@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (BoundResult, bound_negative, bound_positive,
-                     bound_singular)
-from .constants import point_constants
+from .bounds import (LOCKSTEP_BATCH, BoundResult, _bisect_rows,
+                     _positive_rows, bound_negative, bound_singular)
+from .constants import RegionConstants, point_constants
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
@@ -41,8 +41,6 @@ DEFAULT_EPSILONS = (0.5, 1.0, 2.0)
 DEFAULT_GRID = 40
 DEFAULT_H_LO = 1e-6
 DEFAULT_H_CAP = 1e3
-LOCKSTEP_BATCH = 32  # (row, step) pairs per batch of _lockstep_hmax that
-#                      fewer rows fill with several steps each
 CROSS_CHECK_RTOL = 1e-8
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
@@ -229,37 +227,6 @@ class _SweepKernel:
             if float(np.linalg.norm(R[0, :])) <= ALIGN_TOL * gauge:
                 self.N[0, :] = 0.0
 
-    def matrix(self, h: float) -> np.ndarray:
-        """The symmetric matrix M(h) of Δ(h, ·)."""
-        return variation_form(np.eye(self.dim), h * self.N, h * self.scale,
-                              self.sign)
-
-    def worst(self, h: float) -> float:
-        """Largest Δ over unit directions: λ_max of M(h), by the
-        Rayleigh quotient."""
-        return float(np.linalg.eigvalsh(self.matrix(h))[-1])
-
-
-def sweep_deltas(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
-                 h: float, directions) -> np.ndarray:
-    """Δ values for explicit frame-coefficient directions (rows)."""
-    Xi = np.atleast_2d(np.asarray(directions, dtype=float))
-    M = _SweepKernel(field, manifold, p).matrix(h)
-    return np.einsum("ij,jk,ik->i", Xi, M, Xi)
-
-
-def direction_sweep_delta(field: FieldModel, manifold: ManifoldModel,
-                          p: ChartPoint, h: float) -> float:
-    """Worst squared-distance change of one explicit step at p.
-
-    Returns the largest |J(1)|² - |J(0)|² over unit perturbation
-    directions, exactly: the largest eigenvalue of the step-variation
-    form (scaled by a positive factor beyond kappa = 350, see
-    variation_form).  Nonpositive means the step is locally
-    non-expansive in every direction.
-    """
-    return _SweepKernel(field, manifold, p).worst(h)
-
 
 def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
                    tol_h: float) -> np.ndarray:
@@ -269,13 +236,11 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
     search in lockstep: each batch takes λ_max of M(h) at every (row,
     step) pair it holds in one eigvalsh call.  The bracket scans the
     fixed sequence h_lo, h_hi, min(max(1e-3, 2 h_lo) 2^k, h_hi), and each
-    row takes its first expansive doubling step.  The bisection halves
-    every row's bracket at 0.5 (lo + hi) until that row's stop rule
-    holds.  Fewer rows than LOCKSTEP_BATCH take several steps each per
-    batch: the whole bracket sequence, or the midpoints of the next few
-    halvings (five levels for a single row), which a walk down each
-    row's dyadic grid then reads.  Every row therefore visits exactly
-    the steps of the sequential search.
+    row takes its first expansive doubling step; fewer rows than
+    LOCKSTEP_BATCH take several of these steps each per batch.  The
+    bisection is the lockstep one of the bound rules (bounds._bisect_rows)
+    to relative width tol_h.  Every row therefore visits exactly the
+    steps of the sequential search.
     """
     N = np.stack([k.N for k in kernels])
     scale = np.array([k.scale for k in kernels])
@@ -314,38 +279,9 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
     out = np.full(n, math.inf)
     rows = np.flatnonzero(~calm[:, 1])
     first = np.argmin(calm[rows, 2:], axis=1)
-    hi = steps[2 + first]
-    lo = np.where(first > 0, steps[1 + first], h_lo)
-    while rows.size:
-        levels = max(1, int(math.log2(LOCKSTEP_BATCH / rows.size + 1.0)))
-        # the next `levels` halvings of each row's bracket lie on a dyadic
-        # grid of 2^levels + 1 points, filled level by level
-        width = 1 << levels
-        grid = np.empty((rows.size, width + 1))
-        grid[:, 0], grid[:, -1] = lo, hi
-        half = width
-        while half > 1:
-            grid[:, half // 2::half] = 0.5 * (grid[:, :-1:half]
-                                              + grid[:, half::half])
-            half //= 2
-        down = nonpositive(np.repeat(rows, width - 1),
-                           grid[:, 1:-1].ravel()).reshape(rows.size, -1)
-        kept, lo, hi = [], [], []
-        for row, g, d in zip(rows.tolist(), grid.tolist(), down.tolist()):
-            pos, half = 0, width // 2
-            while half:
-                left, mid, right = g[pos], g[pos + half], g[pos + 2 * half]
-                if (not right - left > tol_h * right or mid == left
-                        or mid == right):
-                    out[row] = left
-                    break
-                pos += half * d[pos + half - 1]
-                half //= 2
-            else:
-                kept.append(row)
-                lo.append(g[pos])
-                hi.append(g[pos + 1])
-        rows, lo, hi = np.array(kept, dtype=int), np.array(lo), np.array(hi)
+    out[rows] = _bisect_rows(
+        lambda r, h: nonpositive(rows[r], h),
+        np.where(first > 0, steps[1 + first], h_lo), steps[2 + first], tol_h)
     return out
 
 
@@ -361,6 +297,8 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
     the step is unconditionally stable up to h_hi and math.inf is
     returned.  This is the lockstep search of figure_sweep on one row.
     """
+    if not (0.0 < h_lo < h_hi < math.inf):
+        raise GeostabError("step search needs finite 0 < h_lo < h_hi")
     kernel = _SweepKernel(field, manifold, p)
     return float(_lockstep_hmax([kernel], h_lo, h_hi, tol_h)[0])
 
@@ -387,35 +325,42 @@ def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
 # -- theory side -------------------------------------------------------------
 
 
-def theory_bound(example: str, eps: float, p: ChartPoint) -> BoundResult:
-    """Certified step of the rule matching the example at base point p.
+def _checked_constants(family: ExampleFamily, eps: float,
+                       p: ChartPoint) -> RegionConstants:
+    """Pointwise constants of the family at p: the closed-form ones where
+    they exist, cross-checked against the numeric path to relative 1e-8
+    so that a slip in either derivation cannot pass silently."""
+    consts = point_constants(family.make_field(eps), family.manifold, p)
+    if family.analytic is None:
+        return consts
+    exact = family.analytic(eps, p.coords)
+    for key, val in exact.items():
+        num = getattr(consts, key)
+        tol = CROSS_CHECK_RTOL * max(abs(val), abs(num))
+        if math.isfinite(num) and abs(num - val) > tol:
+            raise InconsistentConstantsError(
+                f"closed-form {key} = {val:.17g} disagrees with the "
+                f"numeric value {num:.17g} at {tuple(p.coords)}")
+    return replace(consts, **exact)
 
-    Constants come from the family's closed-form expressions where those
-    exist and from the numeric pointwise path otherwise; whenever both
-    are available they are cross-checked to relative 1e-8 so a slip in
-    either derivation cannot pass silently.
-    """
-    family = get_example(example)
-    field = family.make_field(eps)
-    consts = point_constants(field, family.manifold, p)
-    if family.analytic is not None:
-        exact = family.analytic(eps, p.coords)
-        for key, val in exact.items():
-            num = getattr(consts, key)
-            tol = CROSS_CHECK_RTOL * max(abs(val), abs(num))
-            if math.isfinite(num) and abs(num - val) > tol:
-                raise InconsistentConstantsError(
-                    f"closed-form {key} = {val:.17g} disagrees with the "
-                    f"numeric value {num:.17g} at {tuple(p.coords)}")
-        consts = replace(consts, **exact)
+
+def _family_rule(family: ExampleFamily, consts_seq) -> list:
+    """The family's step rule at every constant set; the positive rule
+    takes them all in one lockstep search."""
     if family.rule == "positive":
-        return bound_positive(consts)
+        return _positive_rows(consts_seq)
     if family.rule == "negative":
-        return bound_negative(consts)
+        return [bound_negative(c) for c in consts_seq]
     if family.rule == "singular":
-        c = consts.sup_norm
-        return bound_singular(consts, (c, c))
+        return [bound_singular(c, (c.sup_norm, c.sup_norm))
+                for c in consts_seq]
     raise GeostabError(f"example {family.name!r} has no step rule")
+
+
+def theory_bound(example: str, eps: float, p: ChartPoint) -> BoundResult:
+    """Certified step of the example's rule at p from _checked_constants."""
+    family = get_example(example)
+    return _family_rule(family, [_checked_constants(family, eps, p)])[0]
 
 
 # -- comparison sweeps -------------------------------------------------------
@@ -446,21 +391,23 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     base_grid is either a point count for the family's default grid or
     an explicit list of (base1, base2) pairs.  Rows are ordered by
     (epsilon, grid index), so repeated runs produce identical tables.
-    The empirical steps of all rows come from one lockstep search.
+    The empirical steps of all rows come from one lockstep search, and
+    so do the certified steps of a positive-curvature family.
     """
     family = get_example(example)
     if isinstance(base_grid, int):
         base_grid = family.default_grid(base_grid)
-    keys, bounds, kernels = [], [], []
+    keys, consts, kernels = [], [], []
     for eps in epsilons:
         field = family.make_field(eps)
         for b1, b2 in base_grid:
             p = family.manifold.point(family.to_coords(b1, b2))
             keys.append((eps, b1, b2))
-            bounds.append(theory_bound(family.name, eps, p))
+            consts.append(_checked_constants(family, eps, p))
             kernels.append(_SweepKernel(field, family.manifold, p))
     if not kernels:
         return []
+    bounds = _family_rule(family, consts)
     h_num = _lockstep_hmax(kernels, DEFAULT_H_LO, DEFAULT_H_CAP, tol_h)
     return [SweepRow(example=family.name, epsilon=eps, base1=b1, base2=b2,
                      h_numeric=float(h), h_theory=res.h_max,

@@ -80,10 +80,6 @@ class FieldModel:
         X = np.asarray(self._func(p.coords), dtype=float)
         return self.jacobian(p) + np.einsum("ijk,k->ij", G, X)
 
-    def directional_covariant(self, v: TangentVector) -> TangentVector:
-        A = self.covariant_matrix(v.base)
-        return TangentVector(v.base, A @ v.comps)
-
     def require_moving(self, p: ChartPoint) -> TangentVector:
         """eval(p), raising when the field vanishes there."""
         X = self.eval(p)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeostabError
-from .manifolds import ChartPoint, Frame, TangentVector
+from .manifolds import ChartPoint, TangentVector
 
 # Below SERIES_KAPPA the direct sinh(u)/u - 1 and 1 - sin(u)/u cancel
 # (a relative error of 1e-16 / u^2); their series, cut after u^18, are
@@ -123,6 +123,48 @@ def sk(kappa, t, sign: CurvatureSign):
     return out if np.ndim(out) else float(out)
 
 
+def _terms(kappa, sign: CurvatureSign, pointwise: bool = False):
+    """The terms every curvature function of kappa is built from, each
+    evaluated once: g(kappa) = 1 - sinc, g(2 kappa), c - s at t = 1 as g
+    minus 2 sin^2(kappa/2), and sin^2(kappa); on the negative branch
+    g = sinhc - 1 and c - s = 2 sinh^2(kappa/2) - g.  numpy squares a
+    scalar by pow and an array by multiplication, which differ in the
+    last bit about once in a thousand; pointwise squares each element
+    by pow, as a scalar."""
+    def square(x):
+        return np.float_power(x, 2.0) if pointwise else x ** 2
+
+    if sign is CurvatureSign.POSITIVE:
+        g = _one_minus_sinc(kappa)
+        return (g, _one_minus_sinc(2.0 * kappa),
+                g - 2.0 * square(np.sin(0.5 * kappa)), square(np.sin(kappa)))
+    g = _sinhc_minus_one(kappa)
+    return (g, _sinhc_minus_one(2.0 * kappa),
+            2.0 * square(np.sinh(0.5 * kappa)) - g, square(np.sinh(kappa)))
+
+
+def _f_of(terms, sign: CurvatureSign):
+    """f1, f2, f3 (see f_functions) from the terms."""
+    g, g2, _, sq = terms
+    if sign is CurvatureSign.POSITIVE:
+        return sq, g2, g * (1.0 + (1.0 - g))  # (1 - sinc)(1 + sinc)
+    return sq, g2, g * (1.0 + (1.0 + g))  # (sinhc - 1)(1 + sinhc)
+
+
+def _penalty(kappa, terms, sign: CurvatureSign):
+    """curvature_penalty at kappa from the terms at kappa (at any argument
+    past kappa = 30 on the negative branch, where the asymptote binds)."""
+    cs_diff = terms[2]
+    f1, f2, f3 = _f_of(terms, sign)
+    den = np.asarray(f2 + np.sqrt(np.multiply(f1, f3)))
+    out = cs_diff * cs_diff / np.where(den > 0.0, den, 1.0)
+    if sign is CurvatureSign.NEGATIVE:
+        big = kappa > 30.0
+        tail_arg = np.where(big, kappa, 1.0)
+        out = np.where(big, 0.5 * tail_arg + 0.5 / tail_arg - 1.0, out)
+    return out
+
+
 def f_functions(kappa, sign: CurvatureSign):
     """The three nonnegative curvature functions of kappa at t = 1.
 
@@ -133,19 +175,11 @@ def f_functions(kappa, sign: CurvatureSign):
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa < 0):
         raise GeostabError("kappa must be nonnegative")
-    if sign is CurvatureSign.POSITIVE:
-        f1 = np.sin(kappa) ** 2
-        f2 = _one_minus_sinc(2.0 * kappa)  # 1 - cos(k)sin(k)/k
-        g = _one_minus_sinc(kappa)
-        f3 = g * (1.0 + (1.0 - g))  # (1 - sinc)(1 + sinc)
-    elif sign is CurvatureSign.NEGATIVE:
-        f1 = np.sinh(kappa) ** 2
-        f2 = _sinhc_minus_one(2.0 * kappa)
-        g = _sinhc_minus_one(kappa)
-        f3 = g * (1.0 + (1.0 + g))  # (sinhc - 1)(1 + sinhc)
-    else:
+    if sign is CurvatureSign.ZERO:
         z = np.zeros_like(kappa)
         f1, f2, f3 = z, z.copy(), z.copy()
+    else:
+        f1, f2, f3 = _f_of(_terms(kappa, sign), sign)
     if f1.ndim == 0:
         return float(f1), float(f2), float(f3)
     return f1, f2, f3
@@ -168,19 +202,9 @@ def curvature_penalty(kappa, sign: CurvatureSign):
     if sign is CurvatureSign.ZERO:
         out = np.zeros_like(kappa)
     else:
-        if sign is CurvatureSign.POSITIVE:
-            work = kappa
-            cs_diff = _one_minus_sinc(work) - 2.0 * np.sin(0.5 * work) ** 2
-        else:
-            work = np.minimum(kappa, 30.0)
-            cs_diff = 2.0 * np.sinh(0.5 * work) ** 2 - _sinhc_minus_one(work)
-        f1, f2, f3 = f_functions(work, sign)
-        den = np.asarray(f2 + np.sqrt(np.multiply(f1, f3)))
-        out = cs_diff * cs_diff / np.where(den > 0.0, den, 1.0)
-        if sign is CurvatureSign.NEGATIVE:
-            big = kappa > 30.0
-            tail_arg = np.where(big, kappa, 1.0)
-            out = np.where(big, 0.5 * tail_arg + 0.5 / tail_arg - 1.0, out)
+        work = (kappa if sign is CurvatureSign.POSITIVE
+                else np.minimum(kappa, 30.0))
+        out = _penalty(kappa, _terms(work, sign), sign)
     return float(out) if out.ndim == 0 else out
 
 
@@ -315,14 +339,6 @@ def variation_form(a, b, kappa, sign: CurvatureSign):
     return out
 
 
-def norm_diff(v: TangentVector, w: TangentVector, u: TangentVector) -> float:
-    """|J(1)|^2 - |J(0)|^2 for the variation with J(0) = v, covariant
-    rate w at t = 0, along the geodesic with initial velocity u; see
-    variation_form."""
-    data = variation_data(v, w, u)
-    return variation_form(data.a, data.b, data.kappa, data.sign)
-
-
 def jacobi_coeffs(data: JacobiData, t: float) -> np.ndarray:
     """Coefficients of the variation field in the parallel frame at t."""
     c = ck(data.kappa, t, data.sign)
@@ -330,13 +346,6 @@ def jacobi_coeffs(data: JacobiData, t: float) -> np.ndarray:
     out = data.a * c + data.b * s
     out[0] = data.a[0] + data.b[0] * t
     return out
-
-
-def jacobi_eval(data: JacobiData, frame_t: Frame, t: float) -> TangentVector:
-    """Realize the variation field at parameter t in the supplied
-    parallel-transported frame."""
-    coeffs = jacobi_coeffs(data, t)
-    return TangentVector(frame_t.base, frame_t.matrix @ coeffs)
 
 
 def jacobi_norm(data: JacobiData, t: float) -> float:

@@ -93,13 +93,6 @@ class Frame:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
 
-    @property
-    def vectors(self):
-        return [
-            TangentVector(self.base, self.matrix[:, j])
-            for j in range(self.matrix.shape[1])
-        ]
-
 
 class ManifoldModel:
     """Common interface of the chart models.
@@ -169,9 +162,6 @@ class ManifoldModel:
     def transport(self, v: TangentVector, u: TangentVector, t: float = 1.0) -> TangentVector:
         """Parallel transport of v along the geodesic s -> exp(p, s*u) to s=t."""
         raise NotImplementedError
-
-    def geodesic(self, p: ChartPoint, v: TangentVector, t: float) -> ChartPoint:
-        return self.exp(p, self.tangent(p, t * v.comps))
 
     # -- frames ----------------------------------------------------------------
 

@@ -16,7 +16,6 @@ import pytest
 from geostab.bounds import bound_negative, bound_positive
 from geostab.constants import RegionConstants, log_g_norm, point_constants
 from geostab.experiments import (
-    direction_sweep_delta,
     figure_sweep,
     get_example,
     jacobi_validation,
@@ -29,6 +28,7 @@ from geostab.integrators import integrate
 from geostab.jacobi import CurvatureSign, curvature_penalty
 
 from odes import field_flow
+from oracles import direction_sweep_delta
 
 SEED = 20260814
 

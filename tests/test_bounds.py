@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 import geostab.bounds as bounds
 from geostab.bounds import (
     BoundResult,
+    _damped_penalty,
     _grid_min,
     _kappa_coth_minus_one,
     _negative_rhs,
+    _negative_terms,
+    _positive_rows,
     bound_negative,
     bound_positive,
     bound_singular,
@@ -30,6 +33,10 @@ from geostab.errors import (
     NoBoundError,
 )
 from geostab.jacobi import CurvatureSign, curvature_penalty, f_functions
+
+from oracles import (separate_curvature_penalty, separate_damped_penalty,
+                     separate_f_functions, separate_kappa_coth_minus_one,
+                     separate_negative_rhs, sequential_bound_positive)
 
 POS = CurvatureSign.POSITIVE
 NEG = CurvatureSign.NEGATIVE
@@ -143,6 +150,82 @@ def test_positive_rule_monotonicity():
     hs = [bound_positive(make_consts(**{**base, "sup_norm": c})).h_max
           for c in np.linspace(0.3, 3.0, 12)]
     assert np.all(np.diff(hs) <= 1e-12)
+
+
+# one row of each kind: curvature binding, flat (mu_plus = 0), kappa-cap
+# binding (2 alpha - pi/s >= 2 mu_plus, since G(pi) = 1) and a tiny C
+# whose kappa stays on the series branch
+CURVATURE_ROW = st.builds(make_consts, alpha=st.floats(0.05, 3.0),
+                          mu_plus=st.floats(0.01, 5.0),
+                          sup_norm=st.floats(0.05, 4.0),
+                          rho=st.floats(0.05, 4.0))
+FLAT_ROW = st.builds(make_consts, alpha=st.floats(0.05, 3.0),
+                     mu_plus=st.just(0.0), sup_norm=st.floats(0.05, 4.0),
+                     rho=st.floats(0.05, 4.0))
+KAPPA_CAP_ROW = st.builds(make_consts, alpha=st.floats(5.0, 50.0),
+                          mu_plus=st.floats(0.0, 1.0),
+                          sup_norm=st.floats(0.5, 2.0), rho=st.just(1.0))
+TINY_C_ROW = st.builds(make_consts, alpha=st.floats(0.05, 3.0),
+                       mu_plus=st.floats(0.01, 5.0),
+                       sup_norm=st.floats(1e-9, 1e-4),
+                       rho=st.floats(0.05, 4.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.one_of(CURVATURE_ROW, FLAT_ROW, KAPPA_CAP_ROW,
+                               TINY_C_ROW), min_size=1, max_size=12))
+def test_positive_rows_equal_the_sequential_rule(rows):
+    """The lockstep rule over a table gives every row exactly what the
+    scalar bisection gives it, in one batch and one row at a time."""
+    want = [sequential_bound_positive(c) for c in rows]
+    assert _positive_rows(rows) == want
+    assert [bound_positive(c) for c in rows] == want
+    assert all(type(r.h_max) is float and type(r.kappa_at_h) is float
+               for r in _positive_rows(rows))
+
+
+def test_positive_rows_cover_every_binding():
+    rows = [make_consts(alpha=1.0, mu_plus=2.0), make_consts(mu_plus=0.0),
+            make_consts(alpha=100.0), make_consts(sup_norm=1e-9)]
+    got = _positive_rows(rows)
+    assert [r.binding for r in got] == ["curvature", "flat", "kappa-cap",
+                                        "curvature"]
+    assert got == [sequential_bound_positive(c) for c in rows]
+    assert _positive_rows([]) == []
+
+
+@pytest.mark.parametrize("alpha,mu,C,rho", [
+    (0.9378601844351282, 2.5177256412211264, 3.8218288133526315,
+     2.4680889188337045),
+    (2.934421059255492, 4.6059073799937575, 0.7061184895008554,
+     1.0203933492736459)])
+def test_positive_rows_square_like_a_scalar(alpha, mu, C, rho):
+    """numpy squares a scalar by pow and an array by multiplication; at
+    these rows the two move F across zero in the last bisection steps,
+    so a batch squaring by multiplication ends one ulp off."""
+    rows = [make_consts(alpha=alpha, mu_plus=mu, sup_norm=C, rho=rho)]
+    assert _positive_rows(rows * 3) == [sequential_bound_positive(rows[0])] * 3
+
+
+BAD_POSITIVE_ROWS = [make_consts(rho=-1.0), make_consts(rho=0.0),
+                     make_consts(alpha=0.0), make_consts(alpha=math.inf),
+                     make_consts(alpha=math.nan), make_consts(sup_norm=0.0),
+                     make_consts(mu_plus=math.inf)]
+
+
+@pytest.mark.parametrize("first", range(len(BAD_POSITIVE_ROWS)))
+def test_positive_rows_raise_for_the_first_bad_row(first):
+    """A batch raises what the sequential rule raises for its first bad
+    row, whatever comes after it."""
+    good = make_consts(alpha=1.0, mu_plus=2.0)
+    bad = BAD_POSITIVE_ROWS[first]
+    batch = [good, bad, good] + BAD_POSITIVE_ROWS[:first][::-1]
+    with pytest.raises(GeostabError) as want:
+        sequential_bound_positive(bad)
+    with pytest.raises(GeostabError) as got:
+        _positive_rows(batch)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_positive_rule_input_validation():
@@ -265,13 +348,51 @@ def test_kappa_coth_minus_one_against_mpmath():
     mpmath.mp.dps = 40
     ks = np.concatenate([np.geomspace(1e-12, 40.0, 801),
                          [9.99e-5, 1e-4, 1.0001e-4, 29.99, 30.0, 30.01]])
-    got = _kappa_coth_minus_one(ks)
+    got = _kappa_coth_minus_one(ks, _negative_terms(ks))
     for k, g in zip(ks, got):
         want = float(mpmath.mpf(k) * mpmath.coth(mpmath.mpf(k)) - 1)
         if k < 1e-4:
             assert abs(g - want) <= 1e-14 * want
         else:
             assert abs(g - want) <= 4e-16 * (1.0 + want)
+
+
+KERNEL_KAPPAS = np.concatenate([
+    [0.0], np.geomspace(1e-8, 500.0, 1500),
+    *[[np.nextafter(k, 0.0), k, np.nextafter(k, math.inf)]
+      for k in (1.0, 30.0, 300.0, 350.0)]])
+
+
+def same_bits(got, want):
+    return (type(got) is type(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("sign", [POS, NEG], ids=["positive", "negative"])
+def test_curvature_kernels_equal_separate_evaluation(sign):
+    """The shared curvature terms leave every kernel as it was with each
+    series evaluated on its own: bit for bit, on arrays and scalars, on
+    both sides of the switches at 1, 30, 300 and 350."""
+    cases = [KERNEL_KAPPAS] + [float(k) for k in KERNEL_KAPPAS[::37]] + [
+        float(k) for k in KERNEL_KAPPAS[-12:]]
+    for kappa in cases:
+        with np.errstate(over="ignore"):  # sinh(2 kappa) past 355
+            got, want = (f_functions(kappa, sign),
+                         separate_f_functions(kappa, sign))
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert same_bits(curvature_penalty(kappa, sign),
+                         separate_curvature_penalty(kappa, sign))
+        if sign is NEG:
+            terms = _negative_terms(np.asarray(kappa))
+            assert same_bits(_kappa_coth_minus_one(kappa, terms),
+                             separate_kappa_coth_minus_one(kappa))
+            assert same_bits(_damped_penalty(kappa, terms),
+                             separate_damped_penalty(kappa))
+            for alpha, mu, damping in [(0.3, 3.0, 0.9), (1.0, 0.0, 0.0),
+                                       (2.0, 0.5, 4.0)]:
+                assert same_bits(
+                    _negative_rhs(kappa, alpha, mu, damping),
+                    separate_negative_rhs(kappa, alpha, mu, damping))
 
 
 def test_negative_rule_evaluates_rhs_on_whole_grids(monkeypatch):

@@ -105,6 +105,50 @@ def test_search_rejects_nonpositive_tolerance(capsys):
     assert info.value.code == 2
 
 
+def usage_error(argv, capsys):
+    """The exit status and stderr of an invocation argparse rejects."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    return info.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h_hi", ["0", "1e-6", "-1", "nan", "inf"])
+def test_search_rejects_an_empty_or_unbounded_bracket(h_hi, capsys):
+    """h_hi at or below h_lo = 1e-6 leaves nothing to show stable; it
+    was reported as unconditional.  nan gave a number, inf no end."""
+    code, err = usage_error(["search", "--example", "s2", "--h-hi", h_hi],
+                            capsys)
+    assert code == 2
+    assert "--h-hi" in err
+
+
+@pytest.mark.parametrize("command", ["search", "figure"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_nonfinite_tolerance_is_usage_error(command, tol, capsys):
+    code, err = usage_error([command, "--example", "s2", "--tol-h", tol],
+                            capsys)
+    assert code == 2
+    assert "tolerances" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "search", "figure"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "1,-inf"])
+def test_nonfinite_epsilon_is_usage_error(command, eps, capsys):
+    """These ended in a LinAlgError traceback."""
+    code, err = usage_error([command, "--example", "s2", "--epsilon", eps],
+                            capsys)
+    assert code == 2
+    assert "--epsilon" in err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_bound_euclid_rejects_nonfinite_alpha(alpha, capsys):
+    code, err = usage_error(["bound", "--example", "euclid",
+                             "--alpha", alpha], capsys)
+    assert code == 2
+    assert "--alpha" in err
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------
@@ -177,6 +221,14 @@ def test_validate_single_example_passes(capsys):
     assert code == 0
     assert "s2: max deviation" in out
     assert "pass" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_validate_rejects_fewer_than_one_case(cases, capsys):
+    code, err = usage_error(["validate", "--example", "s2", "--cases",
+                             cases], capsys)
+    assert code == 2
+    assert "--cases" in err
 
 
 def test_validate_reports_failure(capsys, monkeypatch):

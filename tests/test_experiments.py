@@ -23,7 +23,6 @@ from geostab.experiments import (
     SweepRow,
     _lockstep_hmax,
     _SweepKernel,
-    direction_sweep_delta,
     figure_sweep,
     get_example,
     jacobi_validation,
@@ -32,7 +31,6 @@ from geostab.experiments import (
     rows_from_csv,
     rows_to_csv,
     spec_grid,
-    sweep_deltas,
     theory_bound,
     unit_directions,
     write_csv,
@@ -40,7 +38,8 @@ from geostab.experiments import (
 from geostab.jacobi import gee_jacobi_data, jacobi_norm
 
 from conftest import make_field
-from oracles import refined_sweep, sequential_hmax
+from oracles import (direction_sweep_delta, refined_sweep, sequential_hmax,
+                     sweep_deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +349,37 @@ def test_lockstep_bracket_error_names_its_point():
         numerical_hmax(field, m, points[worst], h_lo=h_lo)
 
 
+@pytest.mark.parametrize("h_lo,h_hi", [(1e-6, 1e-6), (1e-6, 0.0),
+                                       (0.0, 1.0), (-1.0, 1.0),
+                                       (1e-6, math.nan), (math.nan, 1.0),
+                                       (1e-6, math.inf)])
+def test_numerical_hmax_rejects_an_unusable_bracket(h_lo, h_hi):
+    """Without finite 0 < h_lo < h_hi no step was shown stable, and an
+    empty bracket used to read as unconditional stability."""
+    field = make_field("s2", eps=1.0)
+    m = field.manifold
+    with pytest.raises(GeostabError, match="h_lo < h_hi"):
+        numerical_hmax(field, m, m.point((0.9, 0.0)), h_lo=h_lo, h_hi=h_hi)
+
+
 # ---------------------------------------------------------------------------
 # theory side
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["s2", "h2", "s3", "h2-singular"])
+def test_figure_rule_over_a_table_matches_theory_bound(name):
+    """The rule over a whole table, one lockstep search for the positive
+    families, gives each row what theory_bound gives it alone."""
+    family = get_example(name)
+    grid = family.default_grid(7)
+    rows = figure_sweep(name, epsilons=(0.5, 2.0), base_grid=grid,
+                        tol_h=1e-3)
+    for row in rows:
+        p = family.manifold.point(family.to_coords(row.base1, row.base2))
+        want = theory_bound(name, row.epsilon, p)
+        assert (row.h_theory, row.kappa_at_h, row.binding) == (
+            want.h_max, want.kappa_at_h, want.binding)
 
 
 def test_theory_bound_values():

