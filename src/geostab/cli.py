@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import euclidean_bound
-from .constants import point_constants
 from .errors import GeostabError
-from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, DEFAULT_H_LO, _fmt,
+from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, DEFAULT_H_LO,
+                          _checked_constants, _family_rule, _fmt,
                           figure_sweep, get_example, jacobi_validation,
-                          numerical_hmax, rows_to_csv, spec_grid,
-                          theory_bound, write_csv)
+                          numerical_hmax, rows_to_csv, spec_grid, write_csv)
 
 SOUNDNESS_SLACK = 1e-9
 VALIDATION_TOL = 1e-6
@@ -92,17 +91,13 @@ def _run_bound(config: RunConfig) -> int:
     family = get_example(config.example)
     eps = config.epsilons[0]
     p = _base_point(family, config.base)
-    consts = point_constants(family.make_field(eps), family.manifold, p)
-    res = theory_bound(config.example, eps, p)
+    consts = _checked_constants(family, eps, p)
+    res = _family_rule(family, [consts])[0]
     print(f"example     {config.example}")
     print(f"epsilon     {_fmt(eps)}")
     print(f"point       {','.join(_fmt(c) for c in p.coords)}")
-    print(f"alpha       {_fmt(consts.alpha)}")
-    print(f"mu_plus     {_fmt(consts.mu_plus)}")
-    print(f"mu_minus    {_fmt(consts.mu_minus)}")
-    print(f"sigma       {_fmt(consts.sigma)}")
-    print(f"sup_norm    {_fmt(consts.sup_norm)}")
-    print(f"rho         {_fmt(consts.rho)}")
+    for key in ("alpha", "mu_plus", "mu_minus", "sigma", "sup_norm", "rho"):
+        print(f"{key:<12}{_fmt(getattr(consts, key))}")
     print(f"rule        {res.rule}")
     print(f"binding     {res.binding}")
     print(f"kappa_at_h  {_fmt(res.kappa_at_h)}")
@@ -226,6 +221,8 @@ def _config_from_args(parser, args) -> RunConfig:
         parser.error(f"--h-hi must be finite and above {DEFAULT_H_LO:g}")
     if getattr(args, "cases", 1) < 1:
         parser.error("--cases must be at least 1")
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be nonnegative")
     if args.command == "bound" and args.example == "euclid":
         if args.alpha is None or not math.isfinite(args.alpha):
             parser.error("a finite --alpha is required for the euclid "

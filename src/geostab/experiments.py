@@ -1,5 +1,5 @@
-"""Built-in example studies: direction sweeps, empirical step limits,
-theory/experiment comparison tables, and variation-formula validation.
+"""Built-in example studies: empirical step limits, theory/experiment
+comparison tables, and validation of the closed-form variation norm.
 
 The registry EXAMPLES holds four named field families:
 
@@ -163,7 +163,7 @@ def spec_grid(example: str, start: float, stop: float, count: int) -> list:
             for b in np.linspace(start, stop, count)]
 
 
-# -- direction sweeps --------------------------------------------------------
+# -- empirical step limits --------------------------------------------------
 
 
 def unit_directions(dim: int, n: int) -> np.ndarray:
@@ -480,7 +480,8 @@ def jacobi_validation(example: str, n_cases: int = 200, seed: int = 0,
 
     Draws random base points inside a chart-safe box, a random unit
     variation direction e and step size h per case, and compares the
-    closed-form norm of the step variation at its endpoint against a
+    closed-form norm of the step variation at its endpoint (jacobi_norm,
+    read from variation_form, the form numerical_hmax bisects) against a
     central difference through actual steps: the base point is moved to
     exp_p(±Δ e), both neighbours are stepped, and the derivative is
     formed from the inverse exponential at the stepped center.

@@ -91,20 +91,22 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float,
         defect=defect)
 
 
+def _stepper(method: str):
+    """The step function named by method, looked up at each call so that
+    wrappers installed on the module (perfbench's tracer) are called."""
+    steppers = {"gee": gee_step, "gie": gie_step}
+    if method not in steppers:
+        raise GeostabError(f"unknown method {method!r}; use 'gee' or 'gie'")
+    return steppers[method]
+
+
 def integrate(field: FieldModel, p0: ChartPoint, h: float, n_steps: int,
               method: str = "gee") -> list:
     """Trajectory [p0, p1, ..., p_{n_steps}] of the chosen stepper."""
-    if method == "gee":
-        stepper = gee_step
-    elif method == "gie":
-        stepper = gie_step
-    else:
-        raise GeostabError(f"unknown method {method!r}; use 'gee' or 'gie'")
+    stepper = _stepper(method)
     out = [p0]
-    p = p0
     for _ in range(int(n_steps)):
-        p = stepper(field, p, h)
-        out.append(p)
+        out.append(stepper(field, out[-1], h))
     return out
 
 
@@ -115,10 +117,5 @@ def expansivity_ratio(field: FieldModel, p: ChartPoint, q: ChartPoint,
     d0 = model.distance(p, q)
     if d0 <= 0.0:
         raise GeostabError("points must be distinct")
-    if method == "gee":
-        p1, q1 = gee_step(field, p, h), gee_step(field, q, h)
-    elif method == "gie":
-        p1, q1 = gie_step(field, p, h), gie_step(field, q, h)
-    else:
-        raise GeostabError(f"unknown method {method!r}; use 'gee' or 'gie'")
-    return model.distance(p1, q1) / d0
+    stepper = _stepper(method)
+    return model.distance(stepper(field, p, h), stepper(field, q, h)) / d0

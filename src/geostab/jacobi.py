@@ -7,10 +7,10 @@ in a parallel orthonormal frame e_1(t), ..., e_d(t) with e_1 = u/|u| as
     J(t) = (a1 + b1*t) e_1(t) + sum_{i>=2} (a_i c(t) + b_i s(t)) e_i(t),
 
 where c(t), s(t) are cosine-like and sine-like functions of kappa*t and
-kappa = sqrt(|rho|)*|u|.  The module provides c, s, the associated scalar
-functions f1, f2, f3 of kappa, the end-to-end norm difference
-|J(1)|^2 - |J(0)|^2 as one quadratic form in the frame coefficients, and
-the variation data generated by one explicit geodesic Euler step.
+kappa = sqrt(|rho|)*|u|.  The module provides the scalar functions
+f1, f2, f3 of kappa built from c and s, the norm change |J(1)|^2 - |J(0)|^2
+as one quadratic form in the frame coefficients (|J(t)| is read from it
+too), and the variation data generated by one explicit geodesic Euler step.
 
 Near kappa = 0 the f-functions suffer catastrophic cancellation; below
 kappa = 1 they switch to series evaluation.
@@ -67,8 +67,8 @@ def _series_or_direct(u, coeffs, direct):
     """The series below SERIES_KAPPA, direct(u) from there on.
 
     A scalar runs in Python floats, which saves numpy's per-call overhead
-    on 0-d arrays in the step searches; an array inside the series range
-    skips the direct form."""
+    on 0-d arrays for the scalar kappa of each validation case; an array
+    inside the series range skips the direct form."""
     u = np.asarray(u, dtype=float)
     if u.ndim == 0:
         x = float(u)
@@ -90,37 +90,6 @@ def _one_minus_sinc(u):
 def _sinhc_minus_one(u):
     """sinh(u)/u - 1, series below the cancellation threshold."""
     return _series_or_direct(u, _SINHC_SERIES, lambda x: np.sinh(x) / x - 1.0)
-
-
-def _sinc(u):
-    return 1.0 - _one_minus_sinc(u)
-
-
-def _sinhc(u):
-    return 1.0 + _sinhc_minus_one(u)
-
-
-def ck(kappa, t, sign: CurvatureSign):
-    """Cosine-like factor of the cross components at parameter t."""
-    if sign is CurvatureSign.POSITIVE:
-        out = np.cos(kappa * t)
-    elif sign is CurvatureSign.NEGATIVE:
-        out = np.cosh(kappa * t)
-    else:
-        out = np.ones_like(np.asarray(kappa * t, dtype=float))
-    return out if np.ndim(out) else float(out)
-
-
-def sk(kappa, t, sign: CurvatureSign):
-    """Sine-like factor; equals t at kappa = 0 for every sign."""
-    t = np.asarray(t, dtype=float)
-    if sign is CurvatureSign.POSITIVE:
-        out = t * _sinc(kappa * t)
-    elif sign is CurvatureSign.NEGATIVE:
-        out = t * _sinhc(kappa * t)
-    else:
-        out = t * np.ones_like(np.asarray(kappa, dtype=float))
-    return out if np.ndim(out) else float(out)
 
 
 def _terms(kappa, sign: CurvatureSign, pointwise: bool = False):
@@ -339,18 +308,17 @@ def variation_form(a, b, kappa, sign: CurvatureSign):
     return out
 
 
-def jacobi_coeffs(data: JacobiData, t: float) -> np.ndarray:
-    """Coefficients of the variation field in the parallel frame at t."""
-    c = ck(data.kappa, t, data.sign)
-    s = sk(data.kappa, t, data.sign)
-    out = data.a * c + data.b * s
-    out[0] = data.a[0] + data.b[0] * t
-    return out
-
-
 def jacobi_norm(data: JacobiData, t: float) -> float:
-    """|J(t)|; frame-independent since parallel frames are orthonormal."""
-    return float(np.linalg.norm(jacobi_coeffs(data, t)))
+    """|J(t)| = sqrt(|a|^2 + variation_form(a, t*b, |t|*kappa)), as J(t)
+    of (a, b, kappa) is J(1) of (a, t*b, |t|*kappa).  Raises GeostabError
+    on negative curvature past |t|*kappa = GROWTH_KAPPA_CAP, where
+    variation_form gives only a rescaled form."""
+    kappa = abs(t) * data.kappa
+    if data.sign is CurvatureSign.NEGATIVE and kappa > GROWTH_KAPPA_CAP:
+        raise GeostabError(f"no |J(t)| past kappa*|t| = {GROWTH_KAPPA_CAP:g} "
+                           f"on negative curvature (got {kappa:.6g})")
+    change = variation_form(data.a, t * data.b, kappa, data.sign)
+    return math.sqrt(max(float(data.a @ data.a) + change, 0.0))
 
 
 def gee_jacobi_data(field, p: ChartPoint, direction: TangentVector,

@@ -212,7 +212,6 @@ class _EmbeddedSphere(ManifoldModel):
     ambient Euclidean embedding."""
 
     rho = 1.0
-    ambient_dim = 0
 
     def embed(self, p: ChartPoint) -> np.ndarray:
         raise NotImplementedError
@@ -280,7 +279,6 @@ class Sphere2(_EmbeddedSphere):
 
     name = "s2"
     dim = 2
-    ambient_dim = 3
 
     def _canonical(self, c):
         return np.array([c[0], c[1] % TWO_PI])
@@ -330,7 +328,6 @@ class Sphere3(_EmbeddedSphere):
 
     name = "s3"
     dim = 3
-    ambient_dim = 4
 
     def _canonical(self, c):
         return np.array([c[0], c[1], c[2] % TWO_PI])

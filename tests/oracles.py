@@ -20,10 +20,13 @@ fixed point.
 The step-rule oracles are the positive rule as a plain scalar bisection
 and the curvature kernels evaluated term by term, each function on its
 own, as before the shared kernel terms; the package must match them bit
-for bit.  The remaining helpers are thin conveniences that only the
-tests use: Δ at explicit directions, the geodesic at time t, a frame's
-vectors, the covariant derivative along a vector and the norm change of
-one variation, and the variation field realised in a frame.
+for bit.  The cosine-like and sine-like factors c(t), s(t) give the
+variation field's frame coefficients term by term, the reference for
+|J(t)|, which the package reads from the variation form.  The remaining
+helpers are thin conveniences that only the tests use: Δ at explicit
+directions, the geodesic at time t, a frame's vectors, the covariant
+derivative along a vector and the norm change of one variation, and the
+variation field realised in a frame.
 """
 
 import math
@@ -37,7 +40,7 @@ from geostab.experiments import (DEFAULT_H_CAP, DEFAULT_H_LO, _SweepKernel,
                                  unit_directions)
 from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
 from geostab.jacobi import (CurvatureSign, _one_minus_sinc, _sinhc_minus_one,
-                            jacobi_coeffs, variation_data, variation_form)
+                            variation_data, variation_form)
 from geostab.manifolds import TangentVector
 
 DEFAULT_DIRS = {2: 512, 3: 2048}
@@ -86,6 +89,51 @@ def frame_vectors(frame):
 def directional_covariant(field, v):
     """(∇X) v at the base of v."""
     return TangentVector(v.base, field.covariant_matrix(v.base) @ v.comps)
+
+
+def sinc(u):
+    return 1.0 - _one_minus_sinc(u)
+
+
+def sinhc(u):
+    return 1.0 + _sinhc_minus_one(u)
+
+
+def ck(kappa, t, sign):
+    """Cosine-like factor of the cross components at parameter t."""
+    if sign is CurvatureSign.POSITIVE:
+        out = np.cos(kappa * t)
+    elif sign is CurvatureSign.NEGATIVE:
+        out = np.cosh(kappa * t)
+    else:
+        out = np.ones_like(np.asarray(kappa * t, dtype=float))
+    return out if np.ndim(out) else float(out)
+
+
+def sk(kappa, t, sign):
+    """Sine-like factor; equals t at kappa = 0 for every sign."""
+    t = np.asarray(t, dtype=float)
+    if sign is CurvatureSign.POSITIVE:
+        out = t * sinc(kappa * t)
+    elif sign is CurvatureSign.NEGATIVE:
+        out = t * sinhc(kappa * t)
+    else:
+        out = t * np.ones_like(np.asarray(kappa, dtype=float))
+    return out if np.ndim(out) else float(out)
+
+
+def jacobi_coeffs(data, t):
+    """Coefficients of the variation field in the parallel frame at t."""
+    c = ck(data.kappa, t, data.sign)
+    s = sk(data.kappa, t, data.sign)
+    out = data.a * c + data.b * s
+    out[0] = data.a[0] + data.b[0] * t
+    return out
+
+
+def coeff_jacobi_norm(data, t):
+    """|J(t)| as the norm of the frame coefficients from c and s."""
+    return float(np.linalg.norm(jacobi_coeffs(data, t)))
 
 
 def jacobi_eval(data, frame_t, t):

@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from geostab import cli
-from geostab.experiments import SweepRow, rows_from_csv, theory_bound
+from geostab.experiments import (SweepRow, _analytic_s2, get_example,
+                                 rows_from_csv, theory_bound)
 from geostab.manifolds import SPHERE2
 
 
@@ -46,11 +47,23 @@ def test_bound_family_prints_constants_and_step(capsys):
         assert label in out
 
 
+def test_bound_prints_the_constants_its_rule_used(capsys):
+    """The printed constants are the cross-checked closed forms the rule
+    took, not the numeric ones, which differ in the last digits."""
+    code, out, _ = run_cli(["bound", "--example", "s2"], capsys)
+    assert code == 0
+    family = get_example("s2")
+    coords = family.to_coords(*family.default_base)
+    alpha = _analytic_s2(1.0, coords)["alpha"]
+    assert f"alpha       {alpha:.17g}\n" in out
+
+
 def test_bound_singular_is_unconditional(capsys):
     code, out, _ = run_cli(["bound", "--example", "h2-singular"], capsys)
     assert code == 0
     assert "h_max       unconditional (inf)" in out
-    assert "sigma       1" in out
+    assert "alpha       1\n" in out
+    assert "sigma       1\n" in out
 
 
 def test_bound_euclid_requires_alpha(capsys):
@@ -229,6 +242,13 @@ def test_validate_rejects_fewer_than_one_case(cases, capsys):
                              cases], capsys)
     assert code == 2
     assert "--cases" in err
+
+
+def test_validate_rejects_a_negative_seed(capsys):
+    code, err = usage_error(["validate", "--example", "s2", "--seed", "-1"],
+                            capsys)
+    assert code == 2
+    assert "--seed" in err
 
 
 def test_validate_reports_failure(capsys, monkeypatch):

@@ -270,9 +270,9 @@ def test_integrate_zero_steps(rng):
 def test_integrate_rejects_unknown_method(rng):
     field = make_field("s2", eps=1.0)
     p = random_points(field.manifold, rng, 1)[0]
-    with pytest.raises(GeostabError):
+    with pytest.raises(GeostabError, match="unknown method 'rk9'"):
         integrate(field, p, 0.1, 3, method="rk9")
-    with pytest.raises(GeostabError):
+    with pytest.raises(GeostabError, match="unknown method 'rk9'"):
         expansivity_ratio(field, p, gee_step(field, p, 0.1), 0.1,
                           method="rk9")
 

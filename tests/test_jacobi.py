@@ -11,28 +11,29 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_points, random_tangent, unit_tangent
 from odes import BatchVariationState, integrate_batch, metric_batch
-from oracles import jacobi_eval, norm_diff
+from oracles import (ck, coeff_jacobi_norm, jacobi_coeffs, jacobi_eval,
+                     norm_diff, sk)
 
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import linear_field, s2_field
 from geostab.jacobi import (
     GROWTH_KAPPA_CAP,
+    JacobiData,
     SERIES_KAPPA,
     SPLIT_KAPPA,
     CurvatureSign,
     _one_minus_sinc,
     _sinhc_minus_one,
-    ck,
     curvature_penalty,
     curvature_sign,
     f_functions,
     gee_jacobi_data,
-    jacobi_coeffs,
     jacobi_norm,
-    sk,
     variation_data,
     variation_form,
 )
@@ -302,6 +303,49 @@ def test_jacobi_norm_at_zero_is_initial_norm(rng):
     w = random_tangent(SPHERE2, p, rng, scale=0.2)
     data = variation_data(v, w, u)
     assert abs(jacobi_norm(data, 0.0) - 1.3) < 1e-12
+
+
+SIGNS = st.sampled_from([POS, NEG, ZERO])
+COEFFS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign=SIGNS, a=COEFFS, b=COEFFS, dim=st.sampled_from([2, 3]),
+       t=st.floats(0.0, 1.0), kappa=st.floats(0.0, 340.0))
+@example(sign=POS, a=[0.3, -1.2, 0.7], b=[1.1, 0.4, -2.0], dim=3, t=0.6,
+         kappa=0.0)
+@example(sign=NEG, a=[0.3, -1.2, 0.7], b=[1.1, 0.4, -2.0], dim=3, t=0.5,
+         kappa=2.0)
+@example(sign=NEG, a=[0.3, -1.2, 0.7], b=[1.1, 0.4, -2.0], dim=2, t=1.0,
+         kappa=30.0)
+@example(sign=POS, a=[0.3, -1.2, 0.7], b=[1.1, 0.4, -2.0], dim=3, t=0.25,
+         kappa=120.0)
+def test_jacobi_norm_matches_cosine_sine_coefficients(sign, a, b, dim, t,
+                                                      kappa):
+    """|J(t)| read from variation_form equals the norm of the frame
+    coefficients a c(t) + b s(t) to 1e-11 relative, on every branch up
+    to kappa*t = 340, across the series and split switches.  The form
+    adds |J(0)|^2 = |a|^2 to a change that may nearly cancel it, so
+    |J(t)|^2 is compared relative to |J(t)|^2 + |a|^2 + |t b|^2."""
+    data = JacobiData(np.array(a[:dim]), np.array(b[:dim]), kappa, sign)
+    want = coeff_jacobi_norm(data, t)
+    got = jacobi_norm(data, t)
+    scale = want ** 2 + data.a @ data.a + t * t * (data.b @ data.b)
+    assert abs(got ** 2 - want ** 2) <= 1e-11 * scale
+
+
+def test_jacobi_norm_rejects_the_rescaled_negative_form():
+    """Past kappa*t = GROWTH_KAPPA_CAP variation_form is only a positive
+    multiple of the negative-branch form, so no norm is read from it."""
+    data = JacobiData(np.array([1.0, 0.5]), np.array([0.2, -0.3]), 702.0,
+                      NEG)
+    assert math.isfinite(jacobi_norm(data, 0.49))  # kappa*t = 343.98
+    with pytest.raises(GeostabError):
+        jacobi_norm(data, 0.5)  # kappa*t = 351
+    with pytest.raises(GeostabError):
+        jacobi_norm(JacobiData(data.a, data.b, 351.0, NEG), 1.0)
+    assert math.isfinite(jacobi_norm(JacobiData(data.a, data.b, 351.0, POS),
+                                     1.0))
 
 
 def test_jacobi_eval_in_base_frame(rng):
