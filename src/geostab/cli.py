@@ -14,7 +14,8 @@ from typing import Optional
 
 from .bounds import euclidean_bound
 from .errors import GeostabError
-from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, DEFAULT_H_LO,
+from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, DEFAULT_H_CAP,
+                          DEFAULT_H_LO, DEFAULT_SEED, DEFAULT_TOL_H,
                           _checked_constants, _family_rule, _fmt,
                           figure_sweep, get_example, jacobi_validation,
                           numerical_hmax, rows_to_csv, spec_grid, write_csv)
@@ -28,54 +29,55 @@ VALIDATE_DEFAULT = ("s2", "h2", "s3")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed CLI invocation."""
+    """One parsed CLI invocation; the defaults are the CLI's."""
 
     command: str
     example: Optional[str] = None
     epsilons: tuple = (1.0,)
     alpha: Optional[float] = None
-    base: Optional[tuple] = None  # (base1, base2 | None)
-    grid: Optional[object] = None  # int or list of (base1, base2)
-    tol_h: float = 1e-6
-    h_hi: float = 1e3
+    base: Optional[tuple] = None  # (base1,) or (base1, base2 | None)
+    grid: object = DEFAULT_GRID  # count, (start, stop, count) or pairs
+    tol_h: float = DEFAULT_TOL_H
+    h_hi: float = DEFAULT_H_CAP
     out: Optional[str] = None
     cases: int = 200
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
 
-def _parse_point(text: str) -> tuple:
-    parts = [s for s in text.split(",") if s != ""]
-    if len(parts) not in (1, 2):
-        raise ValueError("expected base1 or base1,base2")
-    b1 = float(parts[0])
-    b2 = float(parts[1]) if len(parts) == 2 else None
-    return (b1, b2)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def _parse_grid(text: str):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("expected start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be at least 1")
-        return (start, stop, count)
-    count = int(text)
-    if count < 1:
-        raise ValueError("grid count must be at least 1")
-    return count
+def _finites(text: str) -> tuple:
+    return tuple(_finite(s) for s in text.split(",") if s != "")
 
 
-def _parse_epsilons(text: str) -> tuple:
-    vals = tuple(float(s) for s in text.split(",") if s != "")
-    if not vals:
-        raise ValueError("expected a comma-separated list of numbers")
-    return vals
+def _grid(text: str):
+    *span, count = text.split(":")
+    if len(span) not in (0, 2) or int(count) < 1:
+        raise ValueError(text)
+    return (*map(_finite, span), int(count)) if span else int(count)
+
+
+def _checked(convert, message, ok=lambda value: True):
+    """An argparse type: convert(text), or a usage error with message
+    when convert raises ValueError or ok rejects its value."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message)
+    return parse
 
 
 def _base_point(family, base):
-    b1, b2 = family.default_base if base is None else base
+    b1, b2 = family.default_base if base is None else (base + (None,))[:2]
     return family.manifold.point(family.to_coords(b1, b2))
 
 
@@ -123,7 +125,7 @@ def _run_search(config: RunConfig) -> int:
 
 
 def _run_figure(config: RunConfig) -> int:
-    grid = config.grid if config.grid is not None else DEFAULT_GRID
+    grid = config.grid
     if isinstance(grid, tuple):
         grid = spec_grid(config.example, *grid)
     rows = figure_sweep(config.example, epsilons=config.epsilons,
@@ -154,89 +156,63 @@ def _run_validate(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; a flag given sets the RunConfig field named by its dest."""
     parser = argparse.ArgumentParser(
         prog="geostab",
         description="Step-size bounds and stability experiments for "
                     "geodesic Euler integrators on constant-curvature "
                     "models.")
     sub = parser.add_subparsers(dest="command", required=True)
+    families = tuple(n for n in EXAMPLE_NAMES if n != "euclid")
+    epsilons = dict(
+        type=_checked(_finites, "expected finite numbers, comma separated",
+                      ok=bool),
+        dest="epsilons", help="field parameter(s), comma separated")
+    point = dict(type=_checked(_finites, "expected finite base1[,base2]",
+                               ok=lambda v: len(v) in (1, 2)),
+                 dest="base", help="base parameters base1[,base2] "
+                                   "(default: family midpoint)")
+    tol_h = dict(type=_checked(float, "tolerances must be positive and finite",
+                               ok=lambda v: 0.0 < v < math.inf))
 
-    def add_common(sp, with_point):
-        sp.add_argument("--epsilon", default="1",
-                        help="field parameter(s), comma separated")
-        if with_point:
-            sp.add_argument("--point", default=None,
-                            help="base parameters base1[,base2] "
-                                 "(default: family midpoint)")
-
-    sp = sub.add_parser("bound", help="print constants and certified step")
+    sp = sub.add_parser("bound", help="print constants and certified step",
+                        argument_default=argparse.SUPPRESS)
     sp.add_argument("--example", required=True, choices=EXAMPLE_NAMES)
-    sp.add_argument("--alpha", type=float, default=None,
+    sp.add_argument("--alpha", type=float,
                     help="cocoercivity constant (euclid only)")
-    add_common(sp, with_point=True)
+    sp.add_argument("--epsilon", **epsilons)
+    sp.add_argument("--point", **point)
 
-    sp = sub.add_parser("search", help="print the empirical maximal step")
-    sp.add_argument("--example", required=True,
-                    choices=tuple(n for n in EXAMPLE_NAMES if n != "euclid"))
-    add_common(sp, with_point=True)
-    sp.add_argument("--tol-h", type=float, default=1e-6)
-    sp.add_argument("--h-hi", type=float, default=1e3)
+    sp = sub.add_parser("search", help="print the empirical maximal step",
+                        argument_default=argparse.SUPPRESS)
+    sp.add_argument("--example", required=True, choices=families)
+    sp.add_argument("--epsilon", **epsilons)
+    sp.add_argument("--point", **point)
+    sp.add_argument("--tol-h", **tol_h)
+    sp.add_argument("--h-hi", type=_checked(
+        float, f"must be finite and above {DEFAULT_H_LO:g}",
+        ok=lambda v: DEFAULT_H_LO < v < math.inf))
 
-    sp = sub.add_parser("figure", help="write a theory/experiment CSV sweep")
-    sp.add_argument("--example", required=True,
-                    choices=tuple(n for n in EXAMPLE_NAMES if n != "euclid"))
-    sp.add_argument("--epsilon", default=",".join(str(e) for e
-                                                  in DEFAULT_EPSILONS),
-                    help="field parameter(s), comma separated")
-    sp.add_argument("--grid", default=None,
-                    help="base1 grid as start:stop:count, or a point count "
-                         "for the family default")
-    sp.add_argument("--tol-h", type=float, default=1e-6)
-    sp.add_argument("--out", default=None, help="output CSV path")
+    sp = sub.add_parser("figure", help="write a theory/experiment CSV sweep",
+                        argument_default=argparse.SUPPRESS)
+    sp.add_argument("--example", required=True, choices=families)
+    sp.add_argument("--epsilon", default=DEFAULT_EPSILONS, **epsilons)
+    sp.add_argument("--grid", type=_checked(
+        _grid, "expected start:stop:count with finite start and stop, or a "
+               "count; the count must be at least 1"),
+        help="base1 grid as start:stop:count, or a point count for the "
+             "family default")
+    sp.add_argument("--tol-h", **tol_h)
+    sp.add_argument("--out", help="output CSV path")
 
-    sp = sub.add_parser("validate", help="run the variation-norm oracle")
-    sp.add_argument("--example", default=None,
-                    choices=tuple(n for n in EXAMPLE_NAMES if n != "euclid"))
-    sp.add_argument("--cases", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = sub.add_parser("validate", help="run the variation-norm oracle",
+                        argument_default=argparse.SUPPRESS)
+    sp.add_argument("--example", choices=families)
+    sp.add_argument("--cases", type=_checked(int, "must be an integer >= 1",
+                                             ok=lambda n: n >= 1))
+    sp.add_argument("--seed", type=_checked(int, "must be an integer >= 0",
+                                            ok=lambda n: n >= 0))
     return parser
-
-
-def _config_from_args(parser, args) -> RunConfig:
-    try:
-        epsilons = (_parse_epsilons(args.epsilon)
-                    if hasattr(args, "epsilon") else (1.0,))
-        base = (_parse_point(args.point)
-                if getattr(args, "point", None) else None)
-        grid = (_parse_grid(args.grid)
-                if getattr(args, "grid", None) else None)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not all(map(math.isfinite, epsilons)):
-        parser.error("--epsilon values must be finite")
-    tol_h = getattr(args, "tol_h", 1e-6)
-    if not 0.0 < tol_h < math.inf:
-        parser.error("tolerances must be positive and finite")
-    if not DEFAULT_H_LO < getattr(args, "h_hi", 1e3) < math.inf:
-        parser.error(f"--h-hi must be finite and above {DEFAULT_H_LO:g}")
-    if getattr(args, "cases", 1) < 1:
-        parser.error("--cases must be at least 1")
-    if getattr(args, "seed", 0) < 0:
-        parser.error("--seed must be nonnegative")
-    if args.command == "bound" and args.example == "euclid":
-        if args.alpha is None or not math.isfinite(args.alpha):
-            parser.error("a finite --alpha is required for the euclid "
-                         "example")
-    return RunConfig(command=args.command,
-                     example=getattr(args, "example", None),
-                     epsilons=epsilons,
-                     alpha=getattr(args, "alpha", None),
-                     base=base, grid=grid,
-                     tol_h=tol_h,
-                     h_hi=getattr(args, "h_hi", 1e3),
-                     out=getattr(args, "out", None),
-                     cases=getattr(args, "cases", 200),
-                     seed=getattr(args, "seed", 0))
 
 
 def run(config: RunConfig) -> int:
@@ -245,15 +221,18 @@ def run(config: RunConfig) -> int:
                 "figure": _run_figure, "validate": _run_validate}
     try:
         return handlers[config.command](config)
-    except GeostabError as exc:
+    except (GeostabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(_config_from_args(parser, args))
+    args = vars(parser.parse_args(argv))
+    if (args.get("example") == "euclid"
+            and not math.isfinite(args.get("alpha", math.nan))):
+        parser.error("a finite --alpha is required for the euclid example")
+    return run(RunConfig(**args))
 
 
 if __name__ == "__main__":

@@ -156,18 +156,17 @@ class RegionConstants:
     n_points: int = 0
 
 
-def region_constants(field, manifold, sampler) -> RegionConstants:
+def region_constants(field, manifold, points) -> RegionConstants:
     """Aggregate pointwise constants over sampled points of a region.
 
-    sampler is an iterable of chart points (or a callable returning
-    one).  The cocoercivity constant is the minimum over the sample,
-    the projection and inverse constants are maxima, and sup_norm is
-    the largest field norm seen.  At points where the covariant
-    derivative is singular the projection constants become math.inf and
-    the inverse bound falls back to the restriction on the range, so
-    step rules that do not need the missing constants stay usable.
+    points is an iterable of chart points.  The cocoercivity constant is
+    the minimum over the sample, the projection and inverse constants
+    are maxima, and sup_norm is the largest field norm seen.  At points
+    where the covariant derivative is singular the projection constants
+    become math.inf and the inverse bound falls back to the restriction
+    on the range, so step rules that do not need the missing constants
+    stay usable.
     """
-    points = sampler() if callable(sampler) else sampler
     alpha = math.inf
     mu_plus = -math.inf
     mu_minus = -math.inf

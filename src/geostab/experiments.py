@@ -41,6 +41,12 @@ DEFAULT_EPSILONS = (0.5, 1.0, 2.0)
 DEFAULT_GRID = 40
 DEFAULT_H_LO = 1e-6
 DEFAULT_H_CAP = 1e3
+DEFAULT_TOL_H = 1e-6
+DEFAULT_SEED = 0
+PAIR_DELTA = 1e-5  # geodesic distance of pair_ratios' neighbours
+VALIDATION_EPSILON = 1.0  # jacobi_validation's field parameter,
+VALIDATION_H_RANGE = (0.05, 0.5)  # its range of step sizes
+VALIDATION_DELTA = 1e-6  # and its central-difference step
 CROSS_CHECK_RTOL = 1e-8
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
@@ -85,7 +91,7 @@ def _analytic_h2_singular(eps: float, coords) -> dict:
 @dataclass(frozen=True)
 class ExampleFamily:
     """A named field family with its manifold, applicable step rule,
-    base-point grids and (where available) closed-form constants."""
+    base-point grids and closed-form constants."""
 
     name: str
     manifold: ManifoldModel
@@ -94,9 +100,8 @@ class ExampleFamily:
     default_grid: Callable[[int], list]
     to_coords: Callable[[float, Optional[float]], tuple]
     default_base: tuple  # (base1, base2) used when no point is given
-    base2_default: Optional[float]  # filled in for spec'd 1-d grids
     validation_box: tuple  # per-coordinate (lo, hi) for random sampling
-    analytic: Optional[Callable[[float, tuple], dict]] = None
+    analytic: Callable[[float, tuple], dict]
 
 
 def _s2_grid(n):
@@ -118,20 +123,20 @@ EXAMPLES = {
     "s2": ExampleFamily(
         name="s2", manifold=SPHERE2, make_field=s2_field, rule="positive",
         default_grid=_s2_grid, to_coords=lambda b1, b2: (b1, 0.0),
-        default_base=(0.85, None), base2_default=None,
+        default_base=(0.85, None),
         validation_box=((-0.4, 0.4), (0.0, 2.0 * np.pi)),
         analytic=_analytic_s2),
     "h2": ExampleFamily(
         name="h2", manifold=HALF_PLANE, make_field=h2_field, rule="negative",
         default_grid=_h2_grid, to_coords=lambda b1, b2: (0.0, b1),
-        default_base=(1.0, None), base2_default=None,
+        default_base=(1.0, None),
         validation_box=((-2.0, 2.0), (0.5, 3.0)),
         analytic=_analytic_h2),
     "s3": ExampleFamily(
         name="s3", manifold=SPHERE3, make_field=s3_field, rule="positive",
         default_grid=_s3_grid,
         to_coords=lambda b1, b2: (b1, np.pi / 2 if b2 is None else b2, 0.0),
-        default_base=(0.85, np.pi / 2), base2_default=np.pi / 2,
+        default_base=(0.85, np.pi / 2),
         validation_box=((np.pi / 2 - 0.4, np.pi / 2 + 0.4),
                         (np.pi / 2 - 0.4, np.pi / 2 + 0.4),
                         (0.0, 2.0 * np.pi)),
@@ -140,7 +145,7 @@ EXAMPLES = {
         name="h2-singular", manifold=HALF_PLANE,
         make_field=lambda eps: h2_singular_field(), rule="singular",
         default_grid=_h2_grid, to_coords=lambda b1, b2: (0.0, b1),
-        default_base=(1.0, None), base2_default=None,
+        default_base=(1.0, None),
         validation_box=((-2.0, 2.0), (0.5, 3.0)),
         analytic=_analytic_h2_singular),
 }
@@ -155,11 +160,11 @@ def get_example(name: str) -> ExampleFamily:
 
 
 def spec_grid(example: str, start: float, stop: float, count: int) -> list:
-    """Uniform base1 grid for an example, base2 at the family default."""
+    """Uniform base1 grid for an example, base2 at its default base."""
     if count < 1:
         raise GeostabError("grid count must be at least 1")
     family = get_example(example)
-    return [(float(b), family.base2_default)
+    return [(float(b), family.default_base[1])
             for b in np.linspace(start, stop, count)]
 
 
@@ -287,7 +292,7 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
 
 def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
                    h_lo: float = DEFAULT_H_LO, h_hi: float = DEFAULT_H_CAP,
-                   tol_h: float = 1e-6) -> float:
+                   tol_h: float = DEFAULT_TOL_H) -> float:
     """Largest step whose worst-direction Δ stays nonpositive.
 
     Bisects (to relative width tol_h) between a non-expansive h_lo and
@@ -304,21 +309,20 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
 
 
 def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
-                n_dirs: int = 64, delta: float = 1e-5,
-                method: str = "gee") -> np.ndarray:
-    """One-step contraction ratios for actual point pairs.
+                n_dirs: int = 64) -> np.ndarray:
+    """One-step contraction ratios of the explicit step for point pairs.
 
-    Places n_dirs neighbours at geodesic distance delta from p (frame
-    coefficients on the unit circle/sphere) and returns the array of
-    d(step(p), step(q)) / d(p, q).
+    Places n_dirs neighbours at geodesic distance PAIR_DELTA from p
+    (frame coefficients on the unit circle/sphere) and returns the array
+    of d(step(p), step(q)) / d(p, q).
     """
     manifold = field.manifold
     X = field.require_moving(p)
     E = manifold.frame(p, X).matrix
     out = np.empty(n_dirs)
     for j, xi in enumerate(unit_directions(manifold.dim, n_dirs)):
-        q = manifold.exp(p, manifold.tangent(p, delta * (E @ xi)))
-        out[j] = expansivity_ratio(field, p, q, h, method=method)
+        q = manifold.exp(p, manifold.tangent(p, PAIR_DELTA * (E @ xi)))
+        out[j] = expansivity_ratio(field, p, q, h)
     return out
 
 
@@ -327,12 +331,10 @@ def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
 
 def _checked_constants(family: ExampleFamily, eps: float,
                        p: ChartPoint) -> RegionConstants:
-    """Pointwise constants of the family at p: the closed-form ones where
-    they exist, cross-checked against the numeric path to relative 1e-8
-    so that a slip in either derivation cannot pass silently."""
+    """Pointwise constants of the family at p: the closed-form ones,
+    cross-checked against the numeric path to relative 1e-8 so that a
+    slip in either derivation cannot pass silently."""
     consts = point_constants(family.make_field(eps), family.manifold, p)
-    if family.analytic is None:
-        return consts
     exact = family.analytic(eps, p.coords)
     for key, val in exact.items():
         num = getattr(consts, key)
@@ -385,7 +387,7 @@ class SweepRow:
 
 
 def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
-                 base_grid=DEFAULT_GRID, tol_h: float = 1e-6) -> list:
+                 base_grid=DEFAULT_GRID, tol_h=DEFAULT_TOL_H) -> list:
     """Empirical versus certified step over a grid of base points.
 
     base_grid is either a point count for the family's default grid or
@@ -473,22 +475,23 @@ class ValidationResult:
     elapsed: float
 
 
-def jacobi_validation(example: str, n_cases: int = 200, seed: int = 0,
-                      eps: float = 1.0, h_range=(0.05, 0.5),
-                      fd_delta: float = 1e-6) -> ValidationResult:
+def jacobi_validation(example: str, n_cases: int,
+                      seed: int = DEFAULT_SEED) -> ValidationResult:
     """Validate the closed-form variation norm on random cases.
 
     Draws random base points inside a chart-safe box, a random unit
-    variation direction e and step size h per case, and compares the
-    closed-form norm of the step variation at its endpoint (jacobi_norm,
-    read from variation_form, the form numerical_hmax bisects) against a
-    central difference through actual steps: the base point is moved to
-    exp_p(±Δ e), both neighbours are stepped, and the derivative is
-    formed from the inverse exponential at the stepped center.
+    variation direction e and step size h in VALIDATION_H_RANGE per case,
+    takes the field at VALIDATION_EPSILON, and compares the closed-form
+    norm of the step variation at its endpoint (jacobi_norm, read from
+    variation_form, the form numerical_hmax bisects) against a central
+    difference through actual steps: the base point is moved to
+    exp_p(±Δ e) with Δ = VALIDATION_DELTA, both neighbours are
+    stepped, and the derivative is formed from the inverse exponential
+    at the stepped center.
     """
     family = get_example(example)
     model = family.manifold
-    field = family.make_field(eps)
+    field = family.make_field(VALIDATION_EPSILON)
     rng = np.random.default_rng(seed)
     t0 = time.monotonic()
     errs = np.zeros(n_cases)
@@ -499,15 +502,15 @@ def jacobi_validation(example: str, n_cases: int = 200, seed: int = 0,
         raw = rng.normal(size=model.dim)
         e = model.tangent(p, raw)
         e = model.tangent(p, e.comps / model.norm(e))
-        h = float(rng.uniform(h_range[0], h_range[1]))
+        h = float(rng.uniform(*VALIDATION_H_RANGE))
         closed = jacobi_norm(gee_jacobi_data(field, p, e, h), 1.0)
         center = gee_step(field, p, h)
         plus = gee_step(field, model.exp(
-            p, model.tangent(p, fd_delta * e.comps)), h)
+            p, model.tangent(p, VALIDATION_DELTA * e.comps)), h)
         minus = gee_step(field, model.exp(
-            p, model.tangent(p, -fd_delta * e.comps)), h)
+            p, model.tangent(p, -VALIDATION_DELTA * e.comps)), h)
         diff = (model.log(center, plus).comps
-                - model.log(center, minus).comps) / (2.0 * fd_delta)
+                - model.log(center, minus).comps) / (2.0 * VALIDATION_DELTA)
         errs[i] = abs(closed - model.norm(model.tangent(center, diff)))
     elapsed = time.monotonic() - t0
     max_error = float(errs.max()) if n_cases else 0.0

@@ -7,7 +7,7 @@ in coordinates is
 
 assembled from the analytic jacobian when available and from central
 finite differences otherwise.  Built-in fields cover the example systems
-used throughout the experiments; ``generic_field`` wraps arbitrary
+used throughout the experiments; ``FieldModel`` wraps arbitrary
 component functions.
 """
 
@@ -89,11 +89,6 @@ class FieldModel:
 
     def __repr__(self):
         return f"FieldModel({self.name} on {self.manifold.name})"
-
-
-def generic_field(manifold, func, jac=None, name="generic") -> FieldModel:
-    """Field from user-supplied component functions."""
-    return FieldModel(manifold, func, jac=jac, name=name)
 
 
 def s2_field(eps: float) -> FieldModel:

@@ -43,25 +43,23 @@ def _gie_defect(field, q, h, p) -> float:
     return model.distance(back, p)
 
 
-def gie_step(field: FieldModel, p: ChartPoint, h: float,
-             tol: float = GIE_TOL, max_iter: int = GIE_MAX_ITER
-             ) -> ChartPoint:
+def gie_step(field: FieldModel, p: ChartPoint, h: float) -> ChartPoint:
     """One implicit geodesic Euler step of size h from p.
 
     Simplified Newton iteration on the step v at p, started from the
     explicit step v = h * X|_p, with the Jacobian I - h * A_p frozen at
     p.  Raises NonconvergenceError (carrying the final defect) when the
-    defect does not reach tol within max_iter iterations, at once when
-    I - h * A_p is singular, where neither this iteration nor plain
-    fixed-point iteration can converge, and when an iterate leaves the
-    chart (with the ChartExitError as its cause and the last defect
-    computed before it).
+    defect does not reach the fixed GIE_TOL within GIE_MAX_ITER
+    iterations, at once when I - h * A_p is singular, where neither this
+    iteration nor plain fixed-point iteration can converge, and when an
+    iterate leaves the chart (with the ChartExitError as its cause and
+    the last defect computed before it).
     """
     model = field.manifold
     v = h * field.eval(p).comps
     q = model.exp(p, model.tangent(p, v))
     defect = _gie_defect(field, q, h, p)
-    if defect <= tol:
+    if defect <= GIE_TOL:
         return q
     try:
         inv = np.linalg.inv(np.eye(model.dim) - h * field.covariant_matrix(p))
@@ -71,14 +69,14 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float,
             f"singular (defect {defect:.3e} after 0 iterations)",
             defect=defect) from None
     try:
-        for it in range(1, max_iter + 1):
+        for it in range(1, GIE_MAX_ITER + 1):
             X = field.eval(q)
             moved = model.transport(model.tangent(q, h * X.comps),
                                     model.log(q, p))
             v = v - inv @ (v - moved.comps)
             q = model.exp(p, model.tangent(p, v))
             defect = _gie_defect(field, q, h, p)
-            if defect <= tol:
+            if defect <= GIE_TOL:
                 return q
     except ChartExitError as exc:
         raise NonconvergenceError(
@@ -87,7 +85,8 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float,
             defect=defect) from exc
     raise NonconvergenceError(
         f"implicit step from {p!r} with h = {h:.6g} did not converge in "
-        f"{max_iter} iterations (defect {defect:.3e} > tol {tol:.1e})",
+        f"{GIE_MAX_ITER} iterations (defect {defect:.3e} > tol "
+        f"{GIE_TOL:.1e})",
         defect=defect)
 
 

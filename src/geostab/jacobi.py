@@ -64,17 +64,9 @@ def _even_series(u2, coeffs):
 
 
 def _series_or_direct(u, coeffs, direct):
-    """The series below SERIES_KAPPA, direct(u) from there on.
-
-    A scalar runs in Python floats, which saves numpy's per-call overhead
-    on 0-d arrays for the scalar kappa of each validation case; an array
+    """The series below SERIES_KAPPA, direct(u) from there on; an array
     inside the series range skips the direct form."""
     u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        x = float(u)
-        if abs(x) < SERIES_KAPPA:
-            return np.float64(_even_series(x * x, coeffs))
-        return direct(x)
     small = np.abs(u) < SERIES_KAPPA
     if small.all():
         return _even_series(u * u, coeffs)
@@ -312,7 +304,9 @@ def jacobi_norm(data: JacobiData, t: float) -> float:
     """|J(t)| = sqrt(|a|^2 + variation_form(a, t*b, |t|*kappa)), as J(t)
     of (a, b, kappa) is J(1) of (a, t*b, |t|*kappa).  Raises GeostabError
     on negative curvature past |t|*kappa = GROWTH_KAPPA_CAP, where
-    variation_form gives only a rescaled form."""
+    variation_form gives only a rescaled form.  The sum cancels near a
+    zero of J(t), where only an absolute error of about sqrt(machine
+    epsilon) * |a| is left."""
     kappa = abs(t) * data.kappa
     if data.sign is CurvatureSign.NEGATIVE and kappa > GROWTH_KAPPA_CAP:
         raise GeostabError(f"no |J(t)| past kappa*|t| = {GROWTH_KAPPA_CAP:g} "

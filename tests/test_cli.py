@@ -12,8 +12,8 @@ import sys
 import pytest
 
 from geostab import cli
-from geostab.experiments import (SweepRow, _analytic_s2, get_example,
-                                 rows_from_csv, theory_bound)
+from geostab.experiments import (DEFAULT_EPSILONS, SweepRow, _analytic_s2,
+                                 get_example, rows_from_csv, theory_bound)
 from geostab.manifolds import SPHERE2
 
 
@@ -154,6 +154,22 @@ def test_nonfinite_epsilon_is_usage_error(command, eps, capsys):
     assert "--epsilon" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--example", "s2", "--point", "nan"],
+    ["bound", "--example", "h2", "--point", "inf"],
+    ["search", "--example", "s2", "--point", "0.9,nan"],
+    ["search", "--example", "s3", "--point", "0.9,inf"],
+    ["figure", "--example", "s2", "--grid", "nan:1:3"],
+    ["figure", "--example", "h2", "--grid", "1:inf:3"],
+])
+def test_nonfinite_point_or_grid_is_usage_error(argv, capsys):
+    """A non-finite --point or --grid bound exited 1 after the chart
+    rejected it, or 0 when the family ignored that coordinate."""
+    code, err = usage_error(argv, capsys)
+    assert code == 2
+    assert argv[-2] in err
+
+
 @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
 def test_bound_euclid_rejects_nonfinite_alpha(alpha, capsys):
     code, err = usage_error(["bound", "--example", "euclid",
@@ -197,6 +213,15 @@ def test_figure_default_output_name(tmp_path, capsys, monkeypatch):
                            capsys)
     assert code == 0
     assert (tmp_path / "h2.csv").exists()
+
+
+def test_figure_into_a_missing_directory_is_runtime_error(tmp_path, capsys):
+    """Writing the CSV raised FileNotFoundError after the whole table."""
+    code, _, err = run_cli(figure_args(tmp_path / "missing" / "s2.csv"),
+                           capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_figure_soundness_violation_fails(tmp_path, capsys, monkeypatch):
@@ -267,6 +292,25 @@ def test_validate_reports_failure(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--example", "s2"],
+    ["search", "--example", "h2"],
+    ["figure", "--example", "s3"],
+    ["validate", "--example", "s2"],
+    ["validate"],
+])
+def test_bare_flags_give_the_runconfig_defaults(argv, monkeypatch):
+    """The parser sets only the flags given; every other field keeps its
+    RunConfig default, and figure defaults to DEFAULT_EPSILONS."""
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    cli.main(argv)
+    want = dict(command=argv[0], example=argv[2] if argv[2:] else None)
+    if argv[0] == "figure":
+        want["epsilons"] = DEFAULT_EPSILONS
+    assert seen == [cli.RunConfig(**want)]
 
 
 def test_console_script_smoke():

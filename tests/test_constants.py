@@ -331,14 +331,6 @@ def test_region_aggregates_min_and_max(rng):
     assert region.n_points == 5
 
 
-def test_region_accepts_callable_sampler():
-    field = make_field("h2", eps=0.5)
-    pts = [HALF_PLANE.point([0.0, 1.0]), HALF_PLANE.point([0.5, 2.0])]
-    got = region_constants(field, HALF_PLANE, lambda: pts)
-    want = region_constants(field, HALF_PLANE, pts)
-    assert got == want
-
-
 def test_region_empty_sampler_raises():
     field = make_field("h2", eps=0.5)
     with pytest.raises(GeostabError):

@@ -12,7 +12,7 @@ from oracles import directional_covariant
 
 from geostab.errors import StationaryPointError
 from geostab.fields import (
-    generic_field,
+    FieldModel,
     h2_field,
     h2_singular_field,
     linear_field,
@@ -86,7 +86,7 @@ def test_analytic_jacobian_matches_finite_differences(name, rng):
 
 
 def test_generic_field_uses_finite_differences():
-    f = generic_field(EUCLID2, lambda c: np.array([c[0] ** 2, -c[1]]))
+    f = FieldModel(EUCLID2, lambda c: np.array([c[0] ** 2, -c[1]]))
     p = EUCLID2.point([1.5, 0.25])
     J = f.jacobian(p)
     assert np.allclose(J, [[3.0, 0.0], [0.0, -1.0]], atol=1e-8)
@@ -94,7 +94,7 @@ def test_generic_field_uses_finite_differences():
 
 def test_generic_field_prefers_analytic_jacobian():
     marker = np.full((2, 2), 7.0)
-    f = generic_field(EUCLID2, lambda c: c.copy(), jac=lambda c: marker)
+    f = FieldModel(EUCLID2, lambda c: c.copy(), jac=lambda c: marker)
     p = EUCLID2.point([0.0, 0.0])
     assert np.array_equal(f.jacobian(p), marker)
 

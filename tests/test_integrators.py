@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from geostab import integrators
 from geostab.errors import ChartExitError, GeostabError, NonconvergenceError
 from geostab.experiments import get_example, theory_bound
-from geostab.fields import (generic_field, h2_field, h2_singular_field,
+from geostab.fields import (FieldModel, h2_field, h2_singular_field,
                             linear_field, s2_field)
 from geostab.integrators import (
     GIE_MAX_ITER,
@@ -109,7 +109,7 @@ def test_gie_step_inverts_explicit_step_of_reversed_field(name, rng):
     equation from p."""
     field = make_field(name, eps=1.0)
     m = field.manifold
-    reversed_field = generic_field(
+    reversed_field = FieldModel(
         m, lambda c: -FIELD_FACTORIES[name](1.0).components(c))
     for p in random_points(m, rng, 4):
         q = gie_step(field, p, 0.15)
