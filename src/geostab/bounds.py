@@ -26,11 +26,12 @@ from .jacobi import CurvatureSign, _f_of, _penalty, _terms
 
 POS, NEG = CurvatureSign.POSITIVE, CurvatureSign.NEGATIVE
 R_TOL = 1e-12
+FLAT_RATIO = (2.0 - math.sqrt(3.0)) * (1.0 + 1e-12)  # sup of D/kc, raised
 LOCKSTEP_BATCH = 32  # (row, step) pairs per batch of a lockstep search
 #                      that fewer rows fill with several steps each
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """Largest provably non-expansive step and the active constraint."""
 
@@ -209,23 +210,32 @@ def bound_negative(consts: RegionConstants) -> BoundResult:
     """Step rule on negatively curved models.
 
     Certifies h whenever h <= rhs(kappa) for every kappa in [0, h*s],
-    s = C*sqrt(|rho|), where rhs combines the cocoercivity gain
-    kappa*coth(kappa) with the damped curvature penalty.  The largest
-    such h is one min-max over kappa in [0, flat*s], flat = rhs(0):
+    s = C*sqrt(|rho|), where rhs = (2 alpha + 2 (alpha kc - mu_minus D))
+    / (1 + damping), kc = kappa coth(kappa) - 1 and D = G / sinhc^2 is
+    the damped penalty; flat = rhs(0).
 
-        h_max = min phi,  phi(kappa) = max(rhs(kappa), kappa/s).
+    Flat rows, exactly: D/kc falls on (0, inf) from 2 - sqrt(3), so
+    rhs >= flat everywhere iff alpha >= (2 - sqrt(3)) mu_minus; below,
+    the excess is negative near 0.  Proof: put cosh(beta) = sinhc(kappa).
+    Then kc = cosh(kappa)/cosh(beta) - 1 and G = (cosh(kappa) -
+    cosh(beta))^2 / (cosh(kappa + beta) - 1), so D/kc = sinh(r b) /
+    (sinh(b) cosh(beta)) with b = (kappa + beta)/2, r = (kappa - beta)/2b.
+    beta/kappa rises: the series of cosh(t k) - sinhc(k) has coefficients
+    (t^(2n) - 1/(2n+1))/(2n)!, with one sign change, from + to -, since
+    (2n+1) t^(2n) is log-concave and 1 at n = 0; so {k : beta(k)/k < t}
+    is an interval (0, k*).  Hence r falls, b rises, sinh(r b)/sinh(b)
+    falls (x coth x rises) and cosh(beta) rises; at 0, beta/kappa ->
+    1/sqrt(3) and D/kc -> r -> 2 - sqrt(3).  This test (FLAT_RATIO, raised
+    by 1e-12 for rounding) comes first; h = flat then needs no rhs.
 
-    * A certified h has rhs >= h on [0, h*s] and kappa/s > h beyond, so
-      phi >= h everywhere.
-    * h = min phi has rhs >= h wherever kappa/s < h, and at kappa = h*s
-      by continuity (else phi would dip below h just left of it).
-    * phi(0) = flat and phi >= kappa/s, so kappa > flat*s never matters.
-
-    The minimum is a sampled one: a 2001-point grid of phi, narrowed
-    around its best point down to the last bit (``_grid_min``).  A
-    minimum at kappa = 0 or not below flat reports the flat binding;
-    rhs is summed as flat plus its excess, so rounding near kappa = 0
-    does not put it below flat.
+    Curvature rows: h_max = min phi, phi = max(rhs(kappa), kappa/s) on
+    [0, flat*s].  A certified h has rhs >= h on [0, h*s] and kappa/s > h
+    beyond, so phi >= h; h = min phi has rhs >= h where kappa/s < h, and
+    at h*s by continuity.  The minimum is sampled: a 2001-point grid of
+    phi, narrowed around its best point down to the last bit
+    (``_grid_min``).  A minimum at kappa = 0 or not below flat is the
+    flat binding; rhs is summed as flat plus its excess, so rounding near
+    kappa = 0 does not put it below flat.
     """
     if consts.rho >= 0:
         raise GeostabError("negative-curvature rule needs rho < 0")
@@ -242,17 +252,15 @@ def bound_negative(consts: RegionConstants) -> BoundResult:
     scale = C * math.sqrt(-consts.rho)
     damping = (sigma * scale) ** 2
     flat = 2.0 * alpha / (1.0 + damping)
+    h, binding = flat, "flat"
+    if alpha < FLAT_RATIO * mu:
+        def phi(k):
+            return np.maximum(_negative_rhs(k, alpha, mu, damping),
+                              k / scale)
 
-    def phi(k):
-        return np.maximum(_negative_rhs(k, alpha, mu, damping), k / scale)
-
-    worst, kappa = _grid_min(phi, 0.0, flat * scale, 2001)
-    if kappa == 0.0 or worst >= flat:
-        h = flat
-        binding = "flat"
-    else:
-        h = worst
-        binding = "curvature"
+        worst, kappa = _grid_min(phi, 0.0, flat * scale, 2001)
+        if kappa != 0.0 and worst < flat:
+            h, binding = worst, "curvature"
     return BoundResult(h_max=h, rule="negative", binding=binding,
                        kappa_at_h=h * scale)
 

@@ -17,6 +17,10 @@ change of coordinates B = g^(1/2) A g^(-1/2):
 * region_constants
                  aggregates the pointwise quantities over a sample of a
                  region into the constants the step-size rules consume.
+
+region_constants (and point_constants, its one-point case) runs the
+linear algebra of all sampled points in one stacked pass; the per-point
+functions serve the points off its full-rank path, with the same bits.
 """
 
 import math
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDirectionError, GeostabError,
-                     InconsistentConstantsError, NoFiniteAlphaError,
-                     NotCocoerciveError, SingularConnectionError,
-                     UnsupportedKernelError)
+                     NoFiniteAlphaError, NotCocoerciveError,
+                     SingularConnectionError, UnsupportedKernelError)
+from .jacobi import _T
 
 RANK_RTOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -68,8 +72,6 @@ def alpha_point(A: np.ndarray, g: np.ndarray) -> float:
     if s[0] <= 0.0:
         return math.inf
     r = int(np.sum(s > RANK_RTOL * s[0]))
-    if r == 0:
-        return math.inf
     Ur, Vr = U[:, :r], Vt[:r].T
     if r < len(s):
         null = Vt[r:].T  # kernel basis
@@ -78,30 +80,23 @@ def alpha_point(A: np.ndarray, g: np.ndarray) -> float:
                 "range and kernel of the covariant derivative are not "
                 "orthogonal; no finite cocoercivity constant exists")
     N = (Ur.T @ Vr) / s[:r]
-    top = float(np.linalg.eigvalsh(0.5 * (N + N.T))[-1])
-    return -top
-
-
-def _direction_projector(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    gX = np.asarray(g, dtype=float) @ X
-    nsq = float(X @ gX)
-    if nsq <= 1e-28:
-        raise DegenerateDirectionError(
-            "field direction vanishes; projection undefined")
-    return np.outer(X, gX) / nsq
+    return -float(np.linalg.eigvalsh(0.5 * (N + N.T))[-1])
 
 
 def _mu_point(A, g, X, along_field: bool) -> float:
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
+    A, X = np.asarray(A, dtype=float), np.asarray(X, dtype=float)
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] <= 0.0 or s[-1] <= RANK_RTOL * s[0]:
         raise SingularConnectionError(
             "covariant derivative is singular; projection constant "
             "undefined")
-    P = _direction_projector(g, X)
-    Q = P if along_field else np.eye(d) - P
+    gX = np.asarray(g, dtype=float) @ X
+    nsq = float(X @ gX)
+    if nsq <= 1e-28:
+        raise DegenerateDirectionError(
+            "field direction vanishes; projection undefined")
+    P = np.outer(X, gX) / nsq
+    Q = P if along_field else np.eye(len(A)) - P
     half, half_inv = _metric_sqrt(g)
     M = -half @ Q @ np.linalg.solve(A, half_inv)
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
@@ -156,6 +151,97 @@ class RegionConstants:
     n_points: int = 0
 
 
+def _point_row(g, A, X) -> tuple:
+    """(alpha, mu_plus, mu_minus, sigma) at one point from the per-point
+    functions; a non-cocoercive point stops at alpha."""
+    a = alpha_point(A, g)
+    if a <= 0.0:
+        return a, math.nan, math.nan, math.nan
+    try:
+        return (a, mu_plus_point(A, g, X), mu_minus_point(A, g, X),
+                sigma_point(A, g))
+    except SingularConnectionError:
+        return a, math.inf, math.inf, sigma_point(A, g, restrict_to_range=True)
+
+
+def _full_rank_rows(g, A, X):
+    """(n, 4) values of _point_row at the points of the stacks g, A and X
+    on the full-rank path (finite data, g > 0, A and B of full rank,
+    X != 0, alpha > 0), and the mask of those rows.  Each quantity takes
+    its per-point function's LAPACK driver (svd with U and V for alpha
+    only), and numpy gives each small matrix of a stack the bits of a
+    single call."""
+    out, on_path = np.full((len(X), 4), math.nan), np.zeros(len(X), bool)
+    rows = np.flatnonzero(np.isfinite(g).all(axis=(1, 2))
+                          & np.isfinite(A).all(axis=(1, 2))
+                          & np.isfinite(X).all(axis=1))
+    w, q = np.linalg.eigh(0.5 * (g[rows] + _T(g[rows])))
+    keep = (w > 0.0).all(axis=1)
+    rows, w, q = rows[keep], w[keep], q[keep]
+    g, A, X, root = g[rows], A[rows], X[rows], np.sqrt(w)[:, None, :]
+    half, half_inv = (q * root) @ _T(q), (q / root) @ _T(q)
+    B = half @ A @ half_inv
+    U, s, Vt = np.linalg.svd(B)
+    s_A, s_B = (np.linalg.svd(M, compute_uv=False) for M in (A, B))
+    gX = (g @ X[:, :, None])[:, :, 0]
+    nsq = (X[:, None, :] @ gX[:, :, None])[:, 0, 0]
+    keep = (nsq > 1e-28) & np.all([(t[:, 0] > 0.0) & (
+        t[:, -1] > RANK_RTOL * t[:, 0]) for t in (s, s_A, s_B)], axis=0)
+    rows, A, X, half, half_inv, U, s, Vt, s_B, gX, nsq = (
+        x[keep] for x in (rows, A, X, half, half_inv, U, s, Vt, s_B, gX, nsq))
+    N = (_T(U) @ _T(Vt)) / s[:, None, :]
+    P = X[:, :, None] * gX[:, None, :] / nsq[:, None, None]
+    S = np.linalg.solve(A, half_inv)
+
+    def top(M):
+        return np.linalg.eigvalsh(0.5 * (M + _T(M)))[:, -1]
+
+    out[rows] = np.column_stack([
+        -top(N), top(-half @ (np.eye(X.shape[1]) - P) @ S),
+        top(-half @ P @ S), 1.0 / s_B[:, -1]])
+    on_path[rows] = out[rows, 0] > 0.0
+    return out, on_path
+
+
+def _constant_rows(field, manifold, points):
+    """Yield (p, *_point_row, |X|) at each of points, in order: chart
+    calls point by point, _full_rank_rows once, and the per-point
+    functions at the other points when reached, so every exception comes
+    at its point (a chart call's after the rows before it)."""
+    data, failure = [], None
+    try:
+        for p in points:
+            g, A, X = (manifold.metric(p), field.covariant_matrix(p),
+                       field.eval(p))
+            data.append((p, g, A, X.comps, X.norm()))
+    except Exception as exc:  # raised once the rows before it are out
+        failure = exc
+    if data:
+        vals, on_path = _full_rank_rows(
+            *(np.array(col, dtype=float) for col in list(zip(*data))[1:4]))
+        for (p, g, A, X, norm), val, fast in zip(data, vals, on_path):
+            yield (p, *(val.tolist() if fast else _point_row(g, A, X)), norm)
+    if failure is not None:
+        raise failure
+
+
+def _aggregate(rows, rho: float) -> RegionConstants:
+    """RegionConstants of rows of _constant_rows: the minimum alpha and
+    the largest other constants, taken in the order of the rows."""
+    bad = [row[0] for row in rows if row[1] <= 0.0]
+    if bad:
+        raise NotCocoerciveError(
+            f"field is not cocoercive at {len(bad)} sampled point(s)",
+            points=bad)
+    if not rows:
+        raise GeostabError("sampler produced no points")
+    _, alpha, mu_plus, mu_minus, sigma, sup_norm = zip(*rows)
+    return RegionConstants(
+        alpha=min((math.inf,) + alpha), mu_plus=max((-math.inf,) + mu_plus),
+        mu_minus=max((-math.inf,) + mu_minus), sigma=max((0.0,) + sigma),
+        sup_norm=max((0.0,) + sup_norm), rho=rho, n_points=len(rows))
+
+
 def region_constants(field, manifold, points) -> RegionConstants:
     """Aggregate pointwise constants over sampled points of a region.
 
@@ -167,41 +253,8 @@ def region_constants(field, manifold, points) -> RegionConstants:
     on the range, so step rules that do not need the missing constants
     stay usable.
     """
-    alpha = math.inf
-    mu_plus = -math.inf
-    mu_minus = -math.inf
-    sigma = 0.0
-    sup_norm = 0.0
-    bad = []
-    n = 0
-    for p in points:
-        n += 1
-        g = manifold.metric(p)
-        A = field.covariant_matrix(p)
-        X = field.eval(p)
-        a = alpha_point(A, g)
-        if a <= 0.0:
-            bad.append(p)
-            continue
-        alpha = min(alpha, a)
-        try:
-            mu_plus = max(mu_plus, mu_plus_point(A, g, X.comps))
-            mu_minus = max(mu_minus, mu_minus_point(A, g, X.comps))
-            sigma = max(sigma, sigma_point(A, g))
-        except SingularConnectionError:
-            mu_plus = math.inf
-            mu_minus = math.inf
-            sigma = max(sigma, sigma_point(A, g, restrict_to_range=True))
-        sup_norm = max(sup_norm, X.norm())
-    if bad:
-        raise NotCocoerciveError(
-            f"field is not cocoercive at {len(bad)} sampled point(s)",
-            points=bad)
-    if n == 0:
-        raise GeostabError("sampler produced no points")
-    return RegionConstants(alpha=alpha, mu_plus=mu_plus, mu_minus=mu_minus,
-                           sigma=sigma, sup_norm=sup_norm,
-                           rho=manifold.rho, n_points=n)
+    return _aggregate(list(_constant_rows(field, manifold, points)),
+                      manifold.rho)
 
 
 def point_constants(field, manifold, p) -> RegionConstants:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import (LOCKSTEP_BATCH, BoundResult, _bisect_rows,
                      _positive_rows, bound_negative, bound_singular)
-from .constants import RegionConstants, point_constants
+from .constants import _aggregate, _constant_rows
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
@@ -329,21 +329,22 @@ def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
 # -- theory side -------------------------------------------------------------
 
 
-def _checked_constants(family: ExampleFamily, eps: float,
-                       p: ChartPoint) -> RegionConstants:
-    """Pointwise constants of the family at p: the closed-form ones,
-    cross-checked against the numeric path to relative 1e-8 so that a
-    slip in either derivation cannot pass silently."""
-    consts = point_constants(family.make_field(eps), family.manifold, p)
-    exact = family.analytic(eps, p.coords)
-    for key, val in exact.items():
-        num = getattr(consts, key)
-        tol = CROSS_CHECK_RTOL * max(abs(val), abs(num))
-        if math.isfinite(num) and abs(num - val) > tol:
-            raise InconsistentConstantsError(
-                f"closed-form {key} = {val:.17g} disagrees with the "
-                f"numeric value {num:.17g} at {tuple(p.coords)}")
-    return replace(consts, **exact)
+def _checked_constants(family: ExampleFamily, eps: float, points):
+    """Yield (p, point_constants at p) for each of points from one stacked
+    pass, with the closed forms put in after a cross-check to relative
+    1e-8, so that a slip in either derivation cannot pass silently."""
+    for row in _constant_rows(family.make_field(eps), family.manifold,
+                              points):
+        p, consts = row[0], _aggregate([row], family.manifold.rho)
+        exact = family.analytic(eps, p.coords)
+        for key, val in exact.items():
+            num = getattr(consts, key)
+            tol = CROSS_CHECK_RTOL * max(abs(val), abs(num))
+            if math.isfinite(num) and abs(num - val) > tol:
+                raise InconsistentConstantsError(
+                    f"closed-form {key} = {val:.17g} disagrees with the "
+                    f"numeric value {num:.17g} at {tuple(p.coords)}")
+        yield p, replace(consts, **exact)
 
 
 def _family_rule(family: ExampleFamily, consts_seq) -> list:
@@ -362,7 +363,8 @@ def _family_rule(family: ExampleFamily, consts_seq) -> list:
 def theory_bound(example: str, eps: float, p: ChartPoint) -> BoundResult:
     """Certified step of the example's rule at p from _checked_constants."""
     family = get_example(example)
-    return _family_rule(family, [_checked_constants(family, eps, p)])[0]
+    [(_, consts)] = _checked_constants(family, eps, [p])
+    return _family_rule(family, [consts])[0]
 
 
 # -- comparison sweeps -------------------------------------------------------
@@ -394,19 +396,21 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     an explicit list of (base1, base2) pairs.  Rows are ordered by
     (epsilon, grid index), so repeated runs produce identical tables.
     The empirical steps of all rows come from one lockstep search, and
-    so do the certified steps of a positive-curvature family.
+    so do the certified steps of a positive-curvature family; the
+    constants of each epsilon come from one stacked pass.
     """
     family = get_example(example)
-    if isinstance(base_grid, int):
-        base_grid = family.default_grid(base_grid)
+    base_grid = (family.default_grid(base_grid)
+                 if isinstance(base_grid, int) else list(base_grid))
     keys, consts, kernels = [], [], []
     for eps in epsilons:
         field = family.make_field(eps)
-        for b1, b2 in base_grid:
-            p = family.manifold.point(family.to_coords(b1, b2))
-            keys.append((eps, b1, b2))
-            consts.append(_checked_constants(family, eps, p))
+        points = (family.manifold.point(family.to_coords(b1, b2))
+                  for b1, b2 in base_grid)
+        for p, c in _checked_constants(family, eps, points):
+            consts.append(c)
             kernels.append(_SweepKernel(field, family.manifold, p))
+        keys += [(eps, b1, b2) for b1, b2 in base_grid]
     if not kernels:
         return []
     bounds = _family_rule(family, consts)
@@ -434,24 +438,6 @@ def rows_to_csv(rows) -> str:
             _fmt(r.h_numeric), _fmt(r.h_theory), _fmt(r.kappa_at_h),
             r.binding]))
     return "\n".join(lines) + "\n"
-
-
-def rows_from_csv(text: str) -> list:
-    """Parse rows_to_csv output back into SweepRow values (exact floats)."""
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise GeostabError("unrecognized CSV header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(CSV_HEADER.split(",")):
-            raise GeostabError(f"malformed CSV row: {ln!r}")
-        rows.append(SweepRow(
-            example=parts[0], epsilon=float(parts[1]), base1=float(parts[2]),
-            base2=None if parts[3] == "" else float(parts[3]),
-            h_numeric=float(parts[4]), h_theory=float(parts[5]),
-            kappa_at_h=float(parts[6]), binding=parts[7]))
-    return rows
 
 
 def write_csv(rows, path) -> None:

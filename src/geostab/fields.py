@@ -143,15 +143,3 @@ def s3_field(eps: float) -> FieldModel:
 
     return FieldModel(SPHERE3, func, jac, name=f"s3(eps={eps:g})")
 
-
-def linear_field(manifold, matrix, name="linear") -> FieldModel:
-    """X(p) = matrix @ p on a Euclidean model."""
-    M = np.array(matrix, dtype=float)
-
-    def func(c):
-        return M @ c
-
-    def jac(c):
-        return M
-
-    return FieldModel(manifold, func, jac, name=name)

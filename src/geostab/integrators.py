@@ -52,23 +52,25 @@ def gie_step(field: FieldModel, p: ChartPoint, h: float) -> ChartPoint:
     defect does not reach the fixed GIE_TOL within GIE_MAX_ITER
     iterations, at once when I - h * A_p is singular, where neither this
     iteration nor plain fixed-point iteration can converge, and when an
-    iterate leaves the chart (with the ChartExitError as its cause and
-    the last defect computed before it).
+    iterate (in iteration 0, the predictor) leaves the chart, with the
+    ChartExitError as its cause and the last defect (nan before any).
     """
     model = field.manifold
-    v = h * field.eval(p).comps
-    q = model.exp(p, model.tangent(p, v))
-    defect = _gie_defect(field, q, h, p)
-    if defect <= GIE_TOL:
-        return q
+    it, defect = 0, float("nan")
     try:
-        inv = np.linalg.inv(np.eye(model.dim) - h * field.covariant_matrix(p))
-    except np.linalg.LinAlgError:
-        raise NonconvergenceError(
-            f"implicit step from {p!r} with h = {h:.6g}: I - h * grad X is "
-            f"singular (defect {defect:.3e} after 0 iterations)",
-            defect=defect) from None
-    try:
+        v = h * field.eval(p).comps
+        q = model.exp(p, model.tangent(p, v))
+        defect = _gie_defect(field, q, h, p)
+        if defect <= GIE_TOL:
+            return q
+        try:
+            inv = np.linalg.inv(np.eye(model.dim)
+                                - h * field.covariant_matrix(p))
+        except np.linalg.LinAlgError:
+            raise NonconvergenceError(
+                f"implicit step from {p!r} with h = {h:.6g}: I - h * grad X "
+                f"is singular (defect {defect:.3e} after 0 iterations)",
+                defect=defect) from None
         for it in range(1, GIE_MAX_ITER + 1):
             X = field.eval(q)
             moved = model.transport(model.tangent(q, h * X.comps),

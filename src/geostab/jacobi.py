@@ -64,14 +64,15 @@ def _even_series(u2, coeffs):
 
 
 def _series_or_direct(u, coeffs, direct):
-    """The series below SERIES_KAPPA, direct(u) from there on; an array
-    inside the series range skips the direct form."""
+    """The series below SERIES_KAPPA, direct(u) from there on; the
+    direct form is evaluated only on the elements it serves."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < SERIES_KAPPA
-    if small.all():
-        return _even_series(u * u, coeffs)
-    safe, tiny = np.where(small, 1.0, u), np.where(small, u, 0.0)
-    return np.where(small, _even_series(tiny * tiny, coeffs), direct(safe))
+    large = np.abs(u) >= SERIES_KAPPA
+    tiny = np.where(large, 0.0, u)
+    out = np.array(_even_series(tiny * tiny, coeffs))
+    if large.any():
+        out[large] = direct(u[large])
+    return out[()]
 
 
 def _one_minus_sinc(u):

@@ -209,18 +209,10 @@ class ManifoldModel:
 
 class _EmbeddedSphere(ManifoldModel):
     """Shared geodesic machinery for the unit spheres, working in the
-    ambient Euclidean embedding."""
+    ambient Euclidean embedding (a subclass's embed, embed_jacobian and
+    unembed)."""
 
     rho = 1.0
-
-    def embed(self, p: ChartPoint) -> np.ndarray:
-        raise NotImplementedError
-
-    def embed_jacobian(self, p: ChartPoint) -> np.ndarray:
-        raise NotImplementedError
-
-    def unembed(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def push(self, p: ChartPoint, comps) -> np.ndarray:
         return self.embed_jacobian(p) @ np.asarray(comps, dtype=float)

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from geostab.fields import h2_field, h2_singular_field, s2_field, s3_field
+from geostab.fields import (FieldModel, h2_field, h2_singular_field, s2_field,
+                            s3_field)
 from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3, Euclidean
 
 
@@ -143,3 +144,16 @@ def brute_log_g_norm(A, g, n=4000, rng=None):
     """Sampled logarithmic g-norm: max over unit-g v of <Av, v>_g."""
     dirs = g_unit_directions_from_metric(A.shape[0], g, n, rng)
     return max(float((A @ v) @ g @ v) for v in dirs)
+
+
+def linear_field(manifold, matrix, name="linear") -> FieldModel:
+    """X(p) = matrix @ p on a Euclidean model."""
+    M = np.array(matrix, dtype=float)
+
+    def func(c):
+        return M @ c
+
+    def jac(c):
+        return M
+
+    return FieldModel(manifold, func, jac, name=name)

@@ -26,7 +26,13 @@ variation field's frame coefficients term by term, the reference for
 helpers are thin conveniences that only the tests use: Δ at explicit
 directions, the geodesic at time t, a frame's vectors, the covariant
 derivative along a vector and the norm change of one variation, and the
-variation field realised in a frame.
+variation field realised in a frame, and the reader that parses a
+figure CSV back into sweep rows.
+
+The sequential region constants are region_constants as a plain loop
+over the points, each through the per-point functions; the stacked pass
+of ``geostab.constants`` must give the same constants, bit for bit, and
+raise the same exceptions at the same points.
 """
 
 import math
@@ -34,10 +40,13 @@ import math
 import numpy as np
 
 from geostab.bounds import BoundResult
+from geostab.constants import (RegionConstants, alpha_point, mu_minus_point,
+                               mu_plus_point, sigma_point)
 from geostab.errors import (BracketError, GeostabError, NoBoundError,
-                            NonconvergenceError)
-from geostab.experiments import (DEFAULT_H_CAP, DEFAULT_H_LO, _SweepKernel,
-                                 unit_directions)
+                            NonconvergenceError, NotCocoerciveError,
+                            SingularConnectionError)
+from geostab.experiments import (CSV_HEADER, DEFAULT_H_CAP, DEFAULT_H_LO,
+                                 SweepRow, _SweepKernel, unit_directions)
 from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
 from geostab.jacobi import (CurvatureSign, _one_minus_sinc, _sinhc_minus_one,
                             variation_data, variation_form)
@@ -369,3 +378,62 @@ def sequential_bound_positive(consts):
         binding = "curvature"
     return BoundResult(h_max=h, rule="positive", binding=binding,
                        kappa_at_h=h * scale)
+
+
+# -- region constants --------------------------------------------------------
+
+
+def sequential_region_constants(field, manifold, points) -> RegionConstants:
+    """region_constants point by point through the per-point functions."""
+    alpha, mu_plus, mu_minus, sigma, sup_norm = (math.inf, -math.inf,
+                                                 -math.inf, 0.0, 0.0)
+    bad, n = [], 0
+    for p in points:
+        n += 1
+        g = manifold.metric(p)
+        A = field.covariant_matrix(p)
+        X = field.eval(p)
+        a = alpha_point(A, g)
+        if a <= 0.0:
+            bad.append(p)
+            continue
+        alpha = min(alpha, a)
+        try:
+            mu_plus = max(mu_plus, mu_plus_point(A, g, X.comps))
+            mu_minus = max(mu_minus, mu_minus_point(A, g, X.comps))
+            sigma = max(sigma, sigma_point(A, g))
+        except SingularConnectionError:
+            mu_plus = math.inf
+            mu_minus = math.inf
+            sigma = max(sigma, sigma_point(A, g, restrict_to_range=True))
+        sup_norm = max(sup_norm, X.norm())
+    if bad:
+        raise NotCocoerciveError(
+            f"field is not cocoercive at {len(bad)} sampled point(s)",
+            points=bad)
+    if n == 0:
+        raise GeostabError("sampler produced no points")
+    return RegionConstants(alpha=alpha, mu_plus=mu_plus, mu_minus=mu_minus,
+                           sigma=sigma, sup_norm=sup_norm,
+                           rho=manifold.rho, n_points=n)
+
+
+# -- CSV reader --------------------------------------------------------------
+
+
+def rows_from_csv(text: str) -> list:
+    """Parse rows_to_csv output back into SweepRow values (exact floats)."""
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise GeostabError("unrecognized CSV header")
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(CSV_HEADER.split(",")):
+            raise GeostabError(f"malformed CSV row: {ln!r}")
+        rows.append(SweepRow(
+            example=parts[0], epsilon=float(parts[1]), base1=float(parts[2]),
+            base2=None if parts[3] == "" else float(parts[3]),
+            h_numeric=float(parts[4]), h_theory=float(parts[5]),
+            kappa_at_h=float(parts[6]), binding=parts[7]))
+    return rows

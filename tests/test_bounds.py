@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import geostab.bounds as bounds
 from geostab.bounds import (
+    FLAT_RATIO,
     BoundResult,
     _damped_penalty,
     _grid_min,
@@ -32,6 +33,7 @@ from geostab.errors import (
     InconsistentConstantsError,
     NoBoundError,
 )
+from geostab.experiments import figure_sweep
 from geostab.jacobi import CurvatureSign, curvature_penalty, f_functions
 
 from oracles import (separate_curvature_penalty, separate_damped_penalty,
@@ -397,7 +399,8 @@ def test_curvature_kernels_equal_separate_evaluation(sign):
 
 def test_negative_rule_evaluates_rhs_on_whole_grids(monkeypatch):
     """Every rhs evaluation of the negative rule is one whole grid of
-    the narrowed search, in the curvature and in the flat binding."""
+    the narrowed search in the curvature binding; the flat binding is
+    certified in closed form and evaluates no rhs."""
     sizes = []
     real = bounds._negative_rhs
 
@@ -406,14 +409,83 @@ def test_negative_rule_evaluates_rhs_on_whole_grids(monkeypatch):
         return real(kappa, *args)
 
     monkeypatch.setattr(bounds, "_negative_rhs", spy)
-    for consts, binding in [
+    for consts, binding, grids in [
             (make_consts(alpha=1.0, mu_minus=4.0, sigma=0.5, sup_norm=1.0,
-                         rho=-1.0), "curvature"),
+                         rho=-1.0), "curvature", {(2001,)}),
             (make_consts(alpha=0.6, mu_minus=0.5, sigma=1.3, sup_norm=1.0,
-                         rho=-1.0), "flat")]:
+                         rho=-1.0), "flat", set())]:
         sizes.clear()
         assert bound_negative(consts).binding == binding
-        assert sizes and set(sizes) == {(2001,)}
+        assert set(sizes) == grids and bool(sizes) == bool(grids)
+
+
+def test_flat_certificate_ratio_against_mpmath():
+    """D <= (2 - sqrt(3)) kc with D the damped penalty and kc = kappa
+    coth(kappa) - 1, at 40 digits: on a dense cover of [1e-6, 300] the
+    ratio D/kc stays below 2 - sqrt(3) and never rises; below it the gap
+    is the series term 0.0756 kappa^2, whose coefficient the gaps at
+    kappa = 1e-2 ... 1e-8 pin down to 2e-5.  The rule's FLAT_RATIO lies
+    above 2 - sqrt(3) by its margin."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    r = 2 - mpmath.sqrt(3)
+
+    def ratio(k):
+        k = mpmath.mpf(k)
+        c, s = mpmath.cosh(k), mpmath.sinh(k) / k
+        G = (c - s) ** 2 / (s * c - 1 + mpmath.sinh(k) * mpmath.sqrt(
+            s * s - 1))
+        return (G / s ** 2) / ((c - s) / s)
+
+    prev = r
+    for k in np.geomspace(1e-6, 300.0, 3001):
+        now = ratio(float(k))
+        assert now < r and now <= prev, k
+        prev = now
+    gaps = [(r - ratio(k)) / mpmath.mpf(k) ** 2
+            for k in ("1e-2", "1e-4", "1e-6", "1e-8")]
+    assert all(0.07559 < g < 0.07561 for g in gaps)
+    assert r * (1 + 1e-13) <= FLAT_RATIO < r * (1 + 1e-11)  # the safe side
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.05, 3.0),
+       ratio=st.one_of(st.floats(0.02, 0.95 * (2 - math.sqrt(3))),
+                       st.floats(2 - math.sqrt(3), 3.0)),
+       sigma=st.floats(0.05, 2.0), C=st.floats(0.05, 3.0),
+       rho=st.floats(-4.0, -0.05))
+def test_negative_rule_is_flat_exactly_above_the_certificate_ratio(
+        alpha, ratio, sigma, C, rho):
+    """The binding is flat iff alpha >= (2 - sqrt(3)) mu_minus, and the
+    dense scan of an independently coded rhs agrees: below the ratio
+    max(rhs, kappa/s) dips under the flat ceiling, above it never."""
+    mu = alpha / ratio
+    consts = make_consts(alpha=alpha, mu_minus=mu, sigma=sigma, sup_norm=C,
+                         rho=rho)
+    out = bound_negative(consts)
+    flat_expected = alpha >= (2 - math.sqrt(3)) * mu
+    assert out.binding == ("flat" if flat_expected else "curvature")
+    scale = C * math.sqrt(-rho)
+    damping = (sigma * scale) ** 2
+    flat = 2.0 * alpha / (1.0 + damping)
+    ks = np.concatenate([np.geomspace(1e-9, 1e-2, 2001) * flat * scale,
+                         np.linspace(0.0, flat * scale, 20001)])
+    phi = np.maximum(negative_rhs_oracle(ks, alpha, mu, damping),
+                     ks / scale)
+    assert (phi.min() >= flat * (1.0 - 1e-13)) == flat_expected
+    if flat_expected:
+        assert out.h_max == flat
+
+
+def test_h2_table_certifies_every_row_in_closed_form(monkeypatch):
+    """Every row of the default h2 table is flat by the certificate, so
+    the table evaluates no rhs grid."""
+    calls = []
+    monkeypatch.setattr(bounds, "_grid_min",
+                        lambda *args: calls.append(args))
+    rows = figure_sweep("h2")
+    assert len(rows) == 120 and not calls
+    assert {row.binding for row in rows} == {"flat"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -13,8 +13,10 @@ import pytest
 
 from geostab import cli
 from geostab.experiments import (DEFAULT_EPSILONS, SweepRow, _analytic_s2,
-                                 get_example, rows_from_csv, theory_bound)
+                                 get_example, theory_bound)
 from geostab.manifolds import SPHERE2
+
+from oracles import rows_from_csv
 
 
 def run_cli(argv, capsys):

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_alpha,
@@ -16,11 +18,16 @@ from conftest import (
     brute_sigma,
     dense_directions,
     g_unit_directions_from_metric,
+    linear_field,
     make_field,
 )
 
 from geostab.constants import (
     RegionConstants,
+    _aggregate,
+    _constant_rows,
+    _full_rank_rows,
+    _point_row,
     alpha_point,
     log_g_norm,
     mu_minus_point,
@@ -30,14 +37,18 @@ from geostab.constants import (
     sigma_point,
 )
 from geostab.errors import (
+    DegenerateDirectionError,
     GeostabError,
     NoFiniteAlphaError,
     NotCocoerciveError,
     SingularConnectionError,
     UnsupportedKernelError,
 )
-from geostab.fields import linear_field
+from geostab.experiments import get_example
+from geostab.fields import FieldModel
 from geostab.manifolds import HALF_PLANE, SPHERE2, Euclidean
+
+from oracles import sequential_region_constants
 
 EUCLID2 = Euclidean(2)
 
@@ -375,3 +386,233 @@ def test_region_constants_is_frozen():
 def test_metric_must_be_positive_definite():
     with pytest.raises(GeostabError):
         log_g_norm(np.eye(2), np.diag([1.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the stacked pass
+# ---------------------------------------------------------------------------
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def raised(exc):
+    points = getattr(exc, "points", None)
+    return (type(exc), str(exc),
+            None if points is None else [bits(p.coords) for p in points])
+
+
+def outcome(fn, *args):
+    """What fn(*args) does: the bits of the constants it returns, or the
+    type, message and point coordinates of what it raises."""
+    try:
+        c = fn(*args)
+    except Exception as exc:  # compared as a value
+        return raised(exc)
+    return tuple(bits(getattr(c, key)) for key in (
+        "alpha", "mu_plus", "mu_minus", "sigma", "sup_norm", "rho")) + (
+            c.n_points,)
+
+
+def each_point(field, manifold, make_points):
+    """The per-point view of the stacked pass, as figure_sweep reads it:
+    the outcome at each point, up to the first exception it raises."""
+    out = []
+    try:
+        for row in _constant_rows(field, manifold, make_points()):
+            out.append(outcome(_aggregate, [row], manifold.rho))
+    except Exception as exc:  # compared as a value
+        out.append(raised(exc))
+    return out
+
+
+def sequential_each_point(field, manifold, make_points):
+    """point_constants at each point by the sequential loop, up to the
+    first exception other than NotCocoerciveError."""
+    out, points = [], make_points()
+    while True:
+        try:
+            p = next(points)
+        except StopIteration:
+            return out
+        except Exception as exc:  # compared as a value
+            return out + [raised(exc)]
+        out.append(outcome(sequential_region_constants, field, manifold,
+                           [p]))
+        if len(out[-1]) == 3 and out[-1][0] is not NotCocoerciveError:
+            return out
+
+
+def assert_same_as_sequential(field, manifold, make_points):
+    assert outcome(region_constants, field, manifold, make_points()) == \
+        outcome(sequential_region_constants, field, manifold, make_points())
+    assert each_point(field, manifold, make_points) == \
+        sequential_each_point(field, manifold, make_points)
+
+
+# chart coordinates of each family from unit draws, reaching past the
+# cocoercive region of s2 (phi < 0) and s3 (psi > pi/2)
+FAMILY_BOXES = {
+    "s2": lambda u: (-0.3 + 1.75 * u[0], 2.0 * math.pi * u[1]),
+    "h2": lambda u: (-3.0 + 6.0 * u[0], 0.05 + 6.0 * u[1]),
+    "s3": lambda u: (0.05 + 3.0 * u[0], 0.1 + 2.9 * u[1], 6.0 * u[2]),
+    "h2-singular": lambda u: (-3.0 + 6.0 * u[0], 0.05 + 6.0 * u[1]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(FAMILY_BOXES)), eps=st.floats(0.2, 3.0),
+       draws=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1,
+                      max_size=12))
+def test_stacked_constants_equal_per_point_on_the_families(name, eps, draws):
+    """On hypothesis draws over all four families, with non-cocoercive
+    s2 and s3 points mixed in: every row on the full-rank path equals the
+    per-point functions bit for bit, the rows that leave it are exactly
+    the non-cocoercive and the singular ones, and region_constants and
+    the per-point view give what the sequential loop gives."""
+    family = get_example(name)
+    manifold = family.manifold
+    field = family.make_field(eps)
+    pts = [manifold.point(FAMILY_BOXES[name](u)) for u in draws]
+    g, A, X = (np.array([f(p) for p in pts]) for f in (
+        manifold.metric, field.covariant_matrix,
+        lambda p: field.eval(p).comps))
+    vals, on_path = _full_rank_rows(g, A, X)
+    for i, p in enumerate(pts):
+        want = _point_row(g[i], A[i], X[i])
+        assert on_path[i] == (name != "h2-singular" and want[0] > 0.0)
+        if on_path[i]:
+            assert bits(vals[i]) == bits(want)
+    assert_same_as_sequential(field, manifold, lambda: iter(pts))
+
+
+def random_cocoercive_at(seed, g):
+    return random_cocoercive(np.random.default_rng(seed), 2, g)
+
+
+TILTED = np.array([[2.0, 0.3], [0.3, 0.8]])
+# (metric, covariant derivative, field) of each kind of point, at t in [0, 1]
+PATCHES = [
+    ("cocoercive", lambda t: TILTED * (1.0 + t),
+     lambda t: random_cocoercive_at(1, TILTED) * (1.0 + t),
+     lambda t: np.array([1.0, 0.5 - t])),
+    ("rotation", lambda t: np.eye(2),
+     lambda t: np.array([[-0.1, 3.0 + t], [-3.0 - t, -0.1]]),
+     lambda t: np.array([t, 1.0])),
+    ("expanding", lambda t: np.eye(2), lambda t: (1.0 + t) * np.eye(2),
+     lambda t: np.array([1.0, t])),
+    ("skew kernel", lambda t: np.eye(2),
+     lambda t: np.array([[-1.0, 1.0 + t], [0.0, 0.0]]),
+     lambda t: np.array([1.0, 0.0])),
+    ("orthogonal kernel", lambda t: TILTED,
+     lambda t: np.linalg.solve(TILTED, np.diag([-1.0 - t, 0.0])),
+     lambda t: np.array([0.0, 1.0 + t])),
+    ("zero", lambda t: np.eye(2), lambda t: np.zeros((2, 2)),
+     lambda t: np.array([1.0, t])),
+    ("still", lambda t: np.eye(2), lambda t: -(1.0 + t) * np.eye(2),
+     lambda t: np.zeros(2)),
+    ("indefinite metric", lambda t: np.diag([1.0, -1.0 - t]),
+     lambda t: -np.eye(2), lambda t: np.array([1.0, 0.0])),
+    ("no derivative", lambda t: np.eye(2), None,
+     lambda t: np.array([1.0, 0.0])),
+]
+
+
+class Patchwork(Euclidean):
+    """The plane with the metric of PATCHES[k] at the points (k, t)."""
+
+    def metric(self, p):
+        return PATCHES[int(p.coords[0])][1](p.coords[1])
+
+
+def patchwork_field(manifold):
+    def jac(c):
+        make = PATCHES[int(c[0])][2]
+        if make is None:
+            raise GeostabError("no covariant derivative at this point")
+        return make(c[1])
+
+    return FieldModel(manifold, lambda c: PATCHES[int(c[0])][3](c[1]), jac,
+                      name="patchwork")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kinds=st.lists(st.tuples(
+    st.sampled_from([0, 0, 0, 1, 1, 1, 4, 4, 2, 3, 5, 6, 7, 8, -1]),
+    st.floats(0.0, 1.0)), min_size=1, max_size=10))
+def test_stacked_constants_raise_as_the_sequential_loop(kinds):
+    """Boxes mixing cocoercive points with non-cocoercive ones, kernels
+    orthogonal or not, a vanishing field, an indefinite metric, a failing
+    covariant derivative and a point that cannot be built (kind -1): the
+    stacked pass returns the same constants bit for bit, or raises the
+    same exception at the same point, with the same
+    NotCocoerciveError.points in the same order, both for a region and
+    point by point."""
+    manifold = Patchwork(2)
+    field = patchwork_field(manifold)
+
+    def make_points():
+        return (manifold.point((math.nan if k < 0 else k, t))
+                for k, t in kinds)
+
+    assert_same_as_sequential(field, manifold, make_points)
+
+
+def test_stacked_constants_keep_the_first_error_of_a_box():
+    """The first point that raises decides, as in the sequential loop,
+    also over non-cocoercive points before it and over a failing chart
+    call after it, and a non-cocoercive box lists its points in order."""
+    manifold = Patchwork(2)
+    field = patchwork_field(manifold)
+    cases = [([0, 2, 4, 2], NotCocoerciveError),
+             ([0, 2, 3, 6], NoFiniteAlphaError),
+             ([2, 6, 3], DegenerateDirectionError),
+             ([0, 3, 8], NoFiniteAlphaError),
+             ([1, 2, 8, 3], GeostabError),
+             ([4, 5], UnsupportedKernelError),
+             ([1, 7, 6], GeostabError)]
+    for kinds, error in cases:
+        pts = [manifold.point((k, 0.3)) for k in kinds]
+        with pytest.raises(error) as info:
+            region_constants(field, manifold, pts)
+        assert type(info.value) is error
+        if error is NotCocoerciveError:
+            assert info.value.points == [pts[1], pts[3]]
+        assert outcome(region_constants, field, manifold, pts) == outcome(
+            sequential_region_constants, field, manifold, pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_lapack_calls_give_the_bits_of_single_calls(d):
+    """The premise of the stacked pass: on this numpy and BLAS, a stack of
+    2x2 or 3x3 matrices gets from svd (with and without U and V), eigh,
+    eigvalsh, solve and matmul (matrix, transposed and vector operands)
+    the bits of one call per matrix."""
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((64, d, d))
+    S = M + M.swapaxes(-1, -2)
+    R = rng.standard_normal((64, d, d))
+    v = rng.standard_normal((64, d))
+
+    def same(stacked, single):
+        want = [single(*[x[i] for x in args]) for i in range(64)]
+        return all(bits(a) == bits(b) for a, b in zip(stacked, want))
+
+    for args, stacked, single in [
+            ((M,), np.linalg.svd(M)[0], lambda m: np.linalg.svd(m)[0]),
+            ((M,), np.linalg.svd(M)[1], lambda m: np.linalg.svd(m)[1]),
+            ((M,), np.linalg.svd(M)[2], lambda m: np.linalg.svd(m)[2]),
+            ((M,), np.linalg.svd(M, compute_uv=False),
+             lambda m: np.linalg.svd(m, compute_uv=False)),
+            ((S,), np.linalg.eigh(S)[0], lambda m: np.linalg.eigh(m)[0]),
+            ((S,), np.linalg.eigh(S)[1], lambda m: np.linalg.eigh(m)[1]),
+            ((S,), np.linalg.eigvalsh(S), np.linalg.eigvalsh),
+            ((M, R), np.linalg.solve(M, R), np.linalg.solve),
+            ((M, R), M @ R, lambda a, b: a @ b),
+            ((M, R), M.swapaxes(-1, -2) @ R.swapaxes(-1, -2),
+             lambda a, b: a.T @ b.T),
+            ((M, v), (M @ v[:, :, None])[:, :, 0], lambda a, b: a @ b),
+            ((v, R), (v[:, None, :] @ R @ v[:, :, None])[:, 0, 0],
+             lambda a, b: a @ b @ a)]:
+        assert same(stacked, single)

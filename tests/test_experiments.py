@@ -28,7 +28,6 @@ from geostab.experiments import (
     jacobi_validation,
     numerical_hmax,
     pair_ratios,
-    rows_from_csv,
     rows_to_csv,
     spec_grid,
     theory_bound,
@@ -38,8 +37,8 @@ from geostab.experiments import (
 from geostab.jacobi import gee_jacobi_data, jacobi_norm
 
 from conftest import make_field
-from oracles import (direction_sweep_delta, refined_sweep, sequential_hmax,
-                     sweep_deltas)
+from oracles import (direction_sweep_delta, refined_sweep, rows_from_csv,
+                     sequential_hmax, sweep_deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +431,14 @@ def test_figure_sweep_rows_ordered_and_sound():
         assert r.example == "s2"
         assert r.h_theory <= r.h_numeric + 1e-9
         assert r.binding in ("flat", "kappa-cap", "curvature")
+
+
+def test_figure_sweep_reads_a_one_shot_grid_for_every_epsilon():
+    """A grid given as an iterator serves every epsilon, as a list does."""
+    grid = [(0.8, None), (1.2, None)]
+    rows = figure_sweep("s2", epsilons=(0.5, 1.0), base_grid=iter(grid),
+                        tol_h=1e-4)
+    assert rows == small_sweep()
 
 
 def test_figure_sweep_grid_count_uses_family_default():

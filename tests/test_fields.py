@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_field, random_points, random_tangent
+from conftest import linear_field, make_field, random_points, random_tangent
 from oracles import directional_covariant
 
 from geostab.errors import StationaryPointError
@@ -15,7 +15,6 @@ from geostab.fields import (
     FieldModel,
     h2_field,
     h2_singular_field,
-    linear_field,
     s2_field,
     s3_field,
 )

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from geostab import integrators
 from geostab.errors import ChartExitError, GeostabError, NonconvergenceError
 from geostab.experiments import get_example, theory_bound
-from geostab.fields import (FieldModel, h2_field, h2_singular_field,
-                            linear_field, s2_field)
+from geostab.fields import FieldModel, h2_field, h2_singular_field, s2_field
 from geostab.integrators import (
     GIE_MAX_ITER,
     GIE_TOL,
@@ -30,7 +29,7 @@ from geostab.integrators import (
 )
 from geostab.manifolds import HALF_PLANE, Euclidean
 
-from conftest import FIELD_FACTORIES, make_field, random_points
+from conftest import FIELD_FACTORIES, linear_field, make_field, random_points
 from odes import field_flow
 from oracles import fixed_point_gie_step
 
@@ -176,6 +175,39 @@ def test_gie_step_chart_exit_is_nonconvergence(eps, coords, h):
     message = str(info.value)
     assert repr(p) in message and f"h = {h:.6g}" in message
     assert re.search(r"in iteration [1-9][0-9]* ", message)
+
+
+def test_gie_step_chart_exit_of_the_predictor_is_nonconvergence():
+    """The backward step from the explicit predictor can leave the chart
+    before any Newton iteration (h2 at (0, 1), h = 8: at arc length
+    1.4e5); that is iteration 0, with no defect computed yet."""
+    p = HALF_PLANE.point((0.0, 1.0))
+    with pytest.raises(NonconvergenceError) as info:
+        gie_step(h2_field(1.0), p, 8.0)
+    assert isinstance(info.value.__cause__, ChartExitError)
+    assert math.isnan(info.value.defect)
+    message = str(info.value)
+    assert repr(p) in message and "h = 8" in message
+    assert "in iteration 0 " in message
+
+
+def test_gie_step_fails_only_by_nonconvergence_on_the_table_grids():
+    """On every family's grid, eps in {0.5, 1, 2} and h up to 10, far
+    past the explicit limits, the implicit step converges or raises
+    NonconvergenceError, never a raw chart error (numpy warnings are
+    errors here too)."""
+    for name in FIELD_NAMES:
+        family = get_example(name)
+        points = [family.manifold.point(family.to_coords(*b))
+                  for b in family.default_grid(8)]
+        for eps in (0.5, 1.0, 2.0):
+            field = family.make_field(eps)
+            for h in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+                for p in points:
+                    try:
+                        gie_step(field, p, h)
+                    except NonconvergenceError:
+                        pass
 
 
 def test_gie_step_converges_in_few_defect_evaluations(monkeypatch):

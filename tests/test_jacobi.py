@@ -14,20 +14,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points, random_tangent, unit_tangent
+from conftest import linear_field, random_points, random_tangent, unit_tangent
 from odes import BatchVariationState, integrate_batch, metric_batch
 from oracles import (ck, coeff_jacobi_norm, jacobi_coeffs, jacobi_eval,
                      norm_diff, sk)
 
 from geostab.errors import DegenerateDirectionError, GeostabError
-from geostab.fields import linear_field, s2_field
+from geostab.fields import s2_field
 from geostab.jacobi import (
     GROWTH_KAPPA_CAP,
     JacobiData,
     SERIES_KAPPA,
     SPLIT_KAPPA,
     CurvatureSign,
+    _SINHC_SERIES,
     _one_minus_sinc,
+    _series_or_direct,
     _sinhc_minus_one,
     curvature_penalty,
     curvature_sign,
@@ -145,6 +147,28 @@ def test_series_kernels_against_mpmath():
         assert abs(s - want_s) <= 1e-14 * want_s, u
         # scalars take their own path; it must give the same values
         assert _sinhc_minus_one(u) == sh and _one_minus_sinc(u) == s, u
+
+
+def test_direct_form_is_evaluated_only_where_it_serves():
+    """The direct sinh(u)/u - 1 sees only the elements at or above
+    SERIES_KAPPA of a mixed array, and is not called for an array or a
+    scalar inside the series range; each element gives what it gives
+    alone."""
+    seen = []
+
+    def direct(x):
+        seen.append(np.array(x, ndmin=1))
+        return np.sinh(x) / x - 1.0
+
+    us = np.concatenate([np.linspace(0.0, 3.0, 31), [300.0, -2.0, -0.5]])
+    got = _series_or_direct(us, _SINHC_SERIES, direct)
+    assert np.array_equal(np.concatenate(seen), us[np.abs(us) >= 1.0])
+    for u, g in zip(us.tolist(), got.tolist()):
+        assert _series_or_direct(u, _SINHC_SERIES, direct) == g
+    seen.clear()
+    _series_or_direct(np.linspace(0.0, 0.9, 7), _SINHC_SERIES, direct)
+    _series_or_direct(0.5, _SINHC_SERIES, direct)
+    assert not seen
 
 
 @pytest.mark.parametrize("sign", [POS, NEG], ids=["positive", "negative"])
