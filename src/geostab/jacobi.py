@@ -307,13 +307,20 @@ def jacobi_norm(data: JacobiData, t: float) -> float:
     on negative curvature past |t|*kappa = GROWTH_KAPPA_CAP, where
     variation_form gives only a rescaled form.  The sum cancels near a
     zero of J(t), where only an absolute error of about sqrt(machine
-    epsilon) * |a| is left."""
+    epsilon) * |a| is left.  a and t*b are first scaled by the power of
+    two that brings their largest component into [0.5, 1), so the squares
+    neither underflow nor overflow; the form is quadratic, so the scaling
+    is exact."""
     kappa = abs(t) * data.kappa
     if data.sign is CurvatureSign.NEGATIVE and kappa > GROWTH_KAPPA_CAP:
         raise GeostabError(f"no |J(t)| past kappa*|t| = {GROWTH_KAPPA_CAP:g} "
                            f"on negative curvature (got {kappa:.6g})")
-    change = variation_form(data.a, t * data.b, kappa, data.sign)
-    return math.sqrt(max(float(data.a @ data.a) + change, 0.0))
+    a, b = data.a, t * data.b
+    largest = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    exp = math.frexp(float(largest))[1]
+    a, b = np.ldexp(a, -exp), np.ldexp(b, -exp)
+    change = variation_form(a, b, kappa, data.sign)
+    return math.ldexp(math.sqrt(max(float(a @ a) + change, 0.0)), exp)
 
 
 def gee_jacobi_data(field, p: ChartPoint, direction: TangentVector,

@@ -141,8 +141,9 @@ def jacobi_coeffs(data, t):
 
 
 def coeff_jacobi_norm(data, t):
-    """|J(t)| as the norm of the frame coefficients from c and s."""
-    return float(np.linalg.norm(jacobi_coeffs(data, t)))
+    """|J(t)| as the norm of the frame coefficients from c and s; hypot
+    keeps the norm of tiny coefficients, whose squares underflow."""
+    return math.hypot(*jacobi_coeffs(data, t).tolist())
 
 
 def jacobi_eval(data, frame_t, t):

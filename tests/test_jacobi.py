@@ -344,6 +344,8 @@ COEFFS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
          kappa=30.0)
 @example(sign=POS, a=[0.3, -1.2, 0.7], b=[1.1, 0.4, -2.0], dim=3, t=0.25,
          kappa=120.0)
+@example(sign=NEG, a=[0.0, 0.0, 0.0], b=[0.0, 7.3097273793824685e-177, 0.0],
+         dim=2, t=1.0, kappa=38.0)
 def test_jacobi_norm_matches_cosine_sine_coefficients(sign, a, b, dim, t,
                                                       kappa):
     """|J(t)| read from variation_form equals the norm of the frame
@@ -356,6 +358,17 @@ def test_jacobi_norm_matches_cosine_sine_coefficients(sign, a, b, dim, t,
     got = jacobi_norm(data, t)
     scale = want ** 2 + data.a @ data.a + t * t * (data.b @ data.b)
     assert abs(got ** 2 - want ** 2) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("sign", [POS, NEG, ZERO], ids=["pos", "neg", "zero"])
+def test_jacobi_norm_exact_under_power_of_two_scaling(sign):
+    """Scaling a and b by 2^k scales |J(t)| by 2^k exactly, also where
+    the squares of the scaled coefficients leave the double range."""
+    a, b = np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -2.0])
+    base = jacobi_norm(JacobiData(a, b, 38.0, sign), 0.7)
+    for k in (-900, -600, -40, 40, 600):
+        data = JacobiData(np.ldexp(a, k), np.ldexp(b, k), 38.0, sign)
+        assert jacobi_norm(data, 0.7) == math.ldexp(base, k), k
 
 
 def test_jacobi_norm_rejects_the_rescaled_negative_form():
