@@ -15,7 +15,7 @@ from typing import Optional
 from .bounds import euclidean_bound
 from .errors import GeostabError
 from .experiments import (DEFAULT_EPSILONS, DEFAULT_GRID, DEFAULT_H_CAP,
-                          DEFAULT_H_LO, DEFAULT_SEED, DEFAULT_TOL_H,
+                          DEFAULT_H_LO, DEFAULT_SEED, DEFAULT_TOL_H, EXAMPLES,
                           _checked_constants, _family_rule, _fmt,
                           figure_sweep, get_example, jacobi_validation,
                           numerical_hmax, rows_to_csv, spec_grid, write_csv)
@@ -93,7 +93,7 @@ def _run_bound(config: RunConfig) -> int:
     family = get_example(config.example)
     eps = config.epsilons[0]
     p = _base_point(family, config.base)
-    [(_, consts)] = _checked_constants(family, eps, [p])
+    [(_, consts, *_)] = _checked_constants(family, eps, [p])
     res = _family_rule(family, [consts])[0]
     print(f"example     {config.example}")
     print(f"epsilon     {_fmt(eps)}")
@@ -167,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     epsilons = dict(
         type=_checked(_finites, "expected finite numbers, comma separated",
                       ok=bool),
-        dest="epsilons", help="field parameter(s), comma separated")
+        dest="epsilons", help="field parameters, comma separated")
+    epsilon = dict(type=_checked(_finites, "expected one finite number",
+                                 ok=lambda v: len(v) == 1),
+                   dest="epsilons", help="field parameter")
     point = dict(type=_checked(_finites, "expected finite base1[,base2]",
                                ok=lambda v: len(v) in (1, 2)),
                  dest="base", help="base parameters base1[,base2] "
@@ -180,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--example", required=True, choices=EXAMPLE_NAMES)
     sp.add_argument("--alpha", type=float,
                     help="cocoercivity constant (euclid only)")
-    sp.add_argument("--epsilon", **epsilons)
+    sp.add_argument("--epsilon", **epsilon)
     sp.add_argument("--point", **point)
 
     sp = sub.add_parser("search", help="print the empirical maximal step",
                         argument_default=argparse.SUPPRESS)
     sp.add_argument("--example", required=True, choices=families)
-    sp.add_argument("--epsilon", **epsilons)
+    sp.add_argument("--epsilon", **epsilon)
     sp.add_argument("--point", **point)
     sp.add_argument("--tol-h", **tol_h)
     sp.add_argument("--h-hi", type=_checked(
@@ -232,6 +235,10 @@ def main(argv=None) -> int:
     if (args.get("example") == "euclid"
             and not math.isfinite(args.get("alpha", math.nan))):
         parser.error("a finite --alpha is required for the euclid example")
+    family = EXAMPLES.get(args.get("example"))
+    if (family is not None and len(args.get("base", ())) == 2
+            and family.default_base[1] is None):
+        parser.error(f"argument --point: {family.name} takes base1 only")
     return run(RunConfig(**args))
 
 

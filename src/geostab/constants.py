@@ -19,8 +19,10 @@ change of coordinates B = g^(1/2) A g^(-1/2):
                  region into the constants the step-size rules consume.
 
 region_constants (and point_constants, its one-point case) runs the
-linear algebra of all sampled points in one stacked pass; the per-point
-functions serve the points off its full-rank path, with the same bits.
+linear algebra of all sampled points in one stacked pass after one chart
+walk per point, whose data (g, A, X) the pass's rows carry on to the
+sweep kernels of a figure table; the per-point functions serve the
+points off its full-rank path, with the same bits.
 """
 
 import math
@@ -204,8 +206,8 @@ def _full_rank_rows(g, A, X):
 
 
 def _constant_rows(field, manifold, points):
-    """Yield (p, *_point_row, |X|) at each of points, in order: chart
-    calls point by point, _full_rank_rows once, and the per-point
+    """Yield (p, *_point_row, |X|, g, A, X) at each of points, in order:
+    chart calls point by point, _full_rank_rows once, and the per-point
     functions at the other points when reached, so every exception comes
     at its point (a chart call's after the rows before it)."""
     data, failure = [], None
@@ -220,7 +222,8 @@ def _constant_rows(field, manifold, points):
         vals, on_path = _full_rank_rows(
             *(np.array(col, dtype=float) for col in list(zip(*data))[1:4]))
         for (p, g, A, X, norm), val, fast in zip(data, vals, on_path):
-            yield (p, *(val.tolist() if fast else _point_row(g, A, X)), norm)
+            yield (p, *(val.tolist() if fast else _point_row(g, A, X)), norm,
+                   g, A, X)
     if failure is not None:
         raise failure
 
@@ -235,7 +238,7 @@ def _aggregate(rows, rho: float) -> RegionConstants:
             points=bad)
     if not rows:
         raise GeostabError("sampler produced no points")
-    _, alpha, mu_plus, mu_minus, sigma, sup_norm = zip(*rows)
+    _, alpha, mu_plus, mu_minus, sigma, sup_norm, *_ = zip(*rows)
     return RegionConstants(
         alpha=min((math.inf,) + alpha), mu_plus=max((-math.inf,) + mu_plus),
         mu_minus=max((-math.inf,) + mu_minus), sigma=max((0.0,) + sigma),

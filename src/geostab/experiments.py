@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (LOCKSTEP_BATCH, BoundResult, _bisect_rows,
-                     _positive_rows, bound_negative, bound_singular)
+from .bounds import (BoundResult, _bisect_rows, _positive_rows,
+                     bound_negative, bound_singular)
 from .constants import _aggregate, _constant_rows
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
@@ -194,25 +194,24 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
 
 
 class _SweepKernel:
-    """Per-point data of the step-variation form.
+    """Per-point data of the step-variation form, from a constants row's
+    |X| and chart data g, A, X (X nonzero) at p; only the frame E at p,
+    led by X, is a chart call.
 
     Works in frame coefficients: for a unit direction ξ the induced
     variation has initial value ξ and initial derivative h N ξ with
     N = Eᵀ g A E, so its squared-norm change is Δ(h, ξ) = ξᵀ M(h) ξ with
-    M(h) = variation_form(I, h N, h * scale).
+    M(h) = variation_form(I, h N, h * scale), scale = |X| √|ρ|.
     """
 
-    def __init__(self, field: FieldModel, manifold: ManifoldModel,
-                 p: ChartPoint):
-        X = field.require_moving(p)
-        g = manifold.metric(p)
-        E = manifold.frame(p, X).matrix
-        A = field.covariant_matrix(p)
+    def __init__(self, manifold: ManifoldModel, p: ChartPoint,
+                 x_norm: float, g, A, X):
+        E = manifold.frame(p, manifold.tangent(p, X)).matrix
         self.point = p
         self.dim = manifold.dim
         self.sign = curvature_sign(manifold.rho)
         self.N = E.T @ g @ A @ E
-        self.scale = manifold.norm(X) * math.sqrt(abs(manifold.rho))
+        self.scale = x_norm * math.sqrt(abs(manifold.rho))
         # Structural zeros of the variation blocks.  On the negative
         # branch the cross term is multiplied by e^(2k), so rounding
         # dust in a block that is analytically zero (the chart
@@ -237,15 +236,13 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
                    tol_h: float) -> np.ndarray:
     """numerical_hmax at the points of many kernels in one search.
 
-    The rows run the doubling bracket and the bisection of the one-point
-    search in lockstep: each batch takes λ_max of M(h) at every (row,
-    step) pair it holds in one eigvalsh call.  The bracket scans the
-    fixed sequence h_lo, h_hi, min(max(1e-3, 2 h_lo) 2^k, h_hi), and each
-    row takes its first expansive doubling step; fewer rows than
-    LOCKSTEP_BATCH take several of these steps each per batch.  The
-    bisection is the lockstep one of the bound rules (bounds._bisect_rows)
-    to relative width tol_h.  Every row therefore visits exactly the
-    steps of the sequential search.
+    The bracket takes λ_max of M(h) at every row and every step of the
+    fixed sequence h_lo, h_hi, min(max(1e-3, 2 h_lo) 2^k, h_hi) in one
+    stacked eigvalsh call, and each row takes its first expansive
+    doubling step, the bracket of the sequential search.  The bisection
+    is the lockstep one of the bound rules (bounds._bisect_rows) to
+    relative width tol_h, so every row ends on the step of the
+    sequential search.
     """
     N = np.stack([k.N for k in kernels])
     scale = np.array([k.scale for k in kernels])
@@ -263,20 +260,8 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
         doubling.append(min(2.0 * doubling[-1], h_hi))
     steps = np.array([h_lo, h_hi] + doubling)
     n = len(kernels)
-    # A batch takes the next steps of every row that has not yet found
-    # its first expansive doubling step, as many as keep the batch near
-    # LOCKSTEP_BATCH steps (h_lo and h_hi at least); steps left out stay
-    # marked calm, so a row's first expansive step is found either way.
-    calm = np.ones((n, steps.size), dtype=bool)
-    live, start = np.arange(n), 0
-    while live.size and start < steps.size:
-        cols = steps[start:start + max(2, LOCKSTEP_BATCH // live.size)]
-        stop = start + cols.size
-        calm[live, start:stop] = nonpositive(
-            np.repeat(live, cols.size),
-            np.tile(cols, live.size)).reshape(live.size, -1)
-        live = live[~calm[live, 1] & calm[live, 2:stop].all(axis=1)]
-        start = stop
+    calm = nonpositive(np.repeat(np.arange(n), steps.size),
+                       np.tile(steps, n)).reshape(n, -1)
     for k, stable in zip(kernels, calm[:, 0]):
         if not stable:
             raise BracketError(f"step already expansive at h_lo = {h_lo:g} "
@@ -300,11 +285,14 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
     nonpositive end of the final bracket, so the worst Δ changes sign
     within relative tol_h above it.  When even h_hi is not expansive
     the step is unconditionally stable up to h_hi and math.inf is
-    returned.  This is the lockstep search of figure_sweep on one row.
+    returned.  This is figure_sweep's lockstep search on one row; a
+    field that vanishes at p raises StationaryPointError.
     """
     if not (0.0 < h_lo < h_hi < math.inf):
         raise GeostabError("step search needs finite 0 < h_lo < h_hi")
-    kernel = _SweepKernel(field, manifold, p)
+    X = field.require_moving(p)
+    kernel = _SweepKernel(manifold, p, manifold.norm(X), manifold.metric(p),
+                          field.covariant_matrix(p), X.comps)
     return float(_lockstep_hmax([kernel], h_lo, h_hi, tol_h)[0])
 
 
@@ -330,9 +318,10 @@ def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
 
 
 def _checked_constants(family: ExampleFamily, eps: float, points):
-    """Yield (p, point_constants at p) for each of points from one stacked
-    pass, with the closed forms put in after a cross-check to relative
-    1e-8, so that a slip in either derivation cannot pass silently."""
+    """Yield (p, point_constants at p, |X|, g, A, X) for each of points
+    from one stacked pass, with the closed forms put in after a
+    cross-check to relative 1e-8, so that a slip in either derivation
+    cannot pass silently; |X| and the chart data feed _SweepKernel."""
     for row in _constant_rows(family.make_field(eps), family.manifold,
                               points):
         p, consts = row[0], _aggregate([row], family.manifold.rho)
@@ -344,7 +333,7 @@ def _checked_constants(family: ExampleFamily, eps: float, points):
                 raise InconsistentConstantsError(
                     f"closed-form {key} = {val:.17g} disagrees with the "
                     f"numeric value {num:.17g} at {tuple(p.coords)}")
-        yield p, replace(consts, **exact)
+        yield (p, replace(consts, **exact), *row[5:])
 
 
 def _family_rule(family: ExampleFamily, consts_seq) -> list:
@@ -363,7 +352,7 @@ def _family_rule(family: ExampleFamily, consts_seq) -> list:
 def theory_bound(example: str, eps: float, p: ChartPoint) -> BoundResult:
     """Certified step of the example's rule at p from _checked_constants."""
     family = get_example(example)
-    [(_, consts)] = _checked_constants(family, eps, [p])
+    [(_, consts, *_)] = _checked_constants(family, eps, [p])
     return _family_rule(family, [consts])[0]
 
 
@@ -397,19 +386,19 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     (epsilon, grid index), so repeated runs produce identical tables.
     The empirical steps of all rows come from one lockstep search, and
     so do the certified steps of a positive-curvature family; the
-    constants of each epsilon come from one stacked pass.
+    constants and sweep kernels of each epsilon come from one stacked
+    pass, one chart walk per row.
     """
     family = get_example(example)
     base_grid = (family.default_grid(base_grid)
                  if isinstance(base_grid, int) else list(base_grid))
     keys, consts, kernels = [], [], []
     for eps in epsilons:
-        field = family.make_field(eps)
         points = (family.manifold.point(family.to_coords(b1, b2))
                   for b1, b2 in base_grid)
-        for p, c in _checked_constants(family, eps, points):
+        for p, c, *chart in _checked_constants(family, eps, points):
             consts.append(c)
-            kernels.append(_SweepKernel(field, family.manifold, p))
+            kernels.append(_SweepKernel(family.manifold, p, *chart))
         keys += [(eps, b1, b2) for b1, b2 in base_grid]
     if not kernels:
         return []

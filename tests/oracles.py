@@ -57,6 +57,13 @@ REFINE_POINTS = 17  # local grid points per axis, spacing width / 8
 MIN_WIDTH = 1e-7  # radians; Δ is quadratic in the angle near its max
 
 
+def sweep_kernel(field, manifold, p):
+    """The _SweepKernel at p built the way numerical_hmax builds it."""
+    X = field.require_moving(p)
+    return _SweepKernel(manifold, p, manifold.norm(X), manifold.metric(p),
+                        field.covariant_matrix(p), X.comps)
+
+
 def kernel_matrix(kernel, h):
     """The symmetric matrix M(h) of Δ(h, ·) of a _SweepKernel."""
     return variation_form(np.eye(kernel.dim), h * kernel.N, h * kernel.scale,
@@ -72,7 +79,7 @@ def kernel_worst(kernel, h):
 def sweep_deltas(field, manifold, p, h, directions):
     """Δ values for explicit frame-coefficient directions (rows)."""
     Xi = np.atleast_2d(np.asarray(directions, dtype=float))
-    M = kernel_matrix(_SweepKernel(field, manifold, p), h)
+    M = kernel_matrix(sweep_kernel(field, manifold, p), h)
     return np.einsum("ij,jk,ik->i", Xi, M, Xi)
 
 
@@ -81,7 +88,7 @@ def direction_sweep_delta(field, manifold, p, h):
     largest eigenvalue of the step-variation form (scaled by a positive
     factor beyond kappa = 350, see variation_form).  Nonpositive means
     the step is locally non-expansive in every direction."""
-    return kernel_worst(_SweepKernel(field, manifold, p), h)
+    return kernel_worst(sweep_kernel(field, manifold, p), h)
 
 
 def geodesic(model, p, v, t):
@@ -219,7 +226,7 @@ def sequential_hmax(field, manifold, p, h_lo=DEFAULT_H_LO,
     """numerical_hmax one λ_max call at a time: doubling from
     max(1e-3, 2 h_lo) until the worst Δ turns positive, then bisection to
     relative width tol_h."""
-    kernel = _SweepKernel(field, manifold, p)
+    kernel = sweep_kernel(field, manifold, p)
 
     def worst(h):
         return kernel_worst(kernel, h)

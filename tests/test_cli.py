@@ -12,8 +12,8 @@ import sys
 import pytest
 
 from geostab import cli
-from geostab.experiments import (DEFAULT_EPSILONS, SweepRow, _analytic_s2,
-                                 get_example, theory_bound)
+from geostab.experiments import (DEFAULT_EPSILONS, EXAMPLES, SweepRow,
+                                 _analytic_s2, get_example, theory_bound)
 from geostab.manifolds import SPHERE2
 
 from oracles import rows_from_csv
@@ -154,6 +154,37 @@ def test_nonfinite_epsilon_is_usage_error(command, eps, capsys):
                             capsys)
     assert code == 2
     assert "--epsilon" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "search"])
+def test_one_point_commands_take_one_epsilon(command, capsys):
+    """bound and search read only the first value of a list and dropped
+    the rest, exiting 0."""
+    code, err = usage_error([command, "--example", "s2", "--epsilon",
+                             "0.5,2"], capsys)
+    assert code == 2
+    assert "--epsilon" in err and "one finite number" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "search"])
+@pytest.mark.parametrize("name", sorted(
+    name for name, family in EXAMPLES.items()
+    if family.default_base[1] is None))
+def test_base2_on_a_one_parameter_family_is_usage_error(command, name,
+                                                        capsys):
+    """base2 was dropped without a word on s2, h2 and h2-singular: h2 at
+    --point 1,2 certified (0, 1) and exited 0."""
+    code, err = usage_error([command, "--example", name, "--point", "1,2"],
+                            capsys)
+    assert code == 2
+    assert "--point" in err and name in err
+
+
+def test_base2_is_read_where_the_family_takes_one(capsys):
+    code, out, _ = run_cli(["bound", "--example", "s3", "--point",
+                            "0.5,1.2"], capsys)
+    assert code == 0
+    assert f"point       {0.5:.17g},{1.2:.17g},0\n" in out
 
 
 @pytest.mark.parametrize("argv", [

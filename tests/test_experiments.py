@@ -7,6 +7,7 @@ actual two-point contraction ratios of the stepper, and exact CSV
 round-trips.
 """
 
+import collections
 import math
 import re
 
@@ -16,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from geostab.errors import BracketError, GeostabError, InconsistentConstantsError
+from geostab.errors import (BracketError, GeostabError,
+                            InconsistentConstantsError, StationaryPointError)
 from geostab.experiments import (
     CSV_HEADER,
     EXAMPLES,
     SweepRow,
     _lockstep_hmax,
-    _SweepKernel,
     figure_sweep,
     get_example,
     jacobi_validation,
@@ -34,11 +35,13 @@ from geostab.experiments import (
     unit_directions,
     write_csv,
 )
+from geostab.fields import FieldModel
 from geostab.jacobi import gee_jacobi_data, jacobi_norm
+from geostab.manifolds import Euclidean
 
-from conftest import make_field
+from conftest import linear_field, make_field
 from oracles import (direction_sweep_delta, refined_sweep, rows_from_csv,
-                     sequential_hmax, sweep_deltas)
+                     sequential_hmax, sweep_deltas, sweep_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +274,15 @@ def test_direction_sweep_delta_beyond_growth_overflow():
     assert math.isfinite(worst) and worst > 0.0
 
 
+def test_numerical_hmax_at_a_stationary_point_raises():
+    """The field's vanishing is checked where numerical_hmax builds its
+    kernel, before any frame is made."""
+    m = Euclidean(2)
+    field = linear_field(m, -np.eye(2))
+    with pytest.raises(StationaryPointError):
+        numerical_hmax(field, m, m.point((0.0, 0.0)))
+
+
 def test_numerical_hmax_bad_bracket():
     field = make_field("s2", eps=1.0)
     m = field.manifold
@@ -293,7 +305,7 @@ def test_lockstep_hmax_matches_sequential_search(name, data, n):
                                                label=f"eps{i}"))
         m = field.manifold
         p = m.point(coords)
-        kernels.append(_SweepKernel(field, m, p))
+        kernels.append(sweep_kernel(field, m, p))
         want.append(sequential_hmax(field, m, p))
         assert numerical_hmax(field, m, p) == want[-1]
     assert _lockstep_hmax(kernels, 1e-6, 1e3, 1e-6).tolist() == want
@@ -311,7 +323,7 @@ def test_lockstep_hmax_mixes_finite_and_unconditional_rows(rng):
               m.point((float(rng.uniform(-2.0, 2.0)),
                        float(rng.uniform(0.2, 5.0)))))
              for i in range(40)]
-    kernels = [_SweepKernel(f, m, p) for f, p in cases]
+    kernels = [sweep_kernel(f, m, p) for f, p in cases]
     h_min = min(sequential_hmax(f, m, p) for f, p in cases)
     for h_lo, h_hi, tol_h in ((1e-6, 1e3, 1e-6), (1e-6, 1e3, 1e-2),
                               (1e-6, 1e3, 0.0), (1e-6, 0.4, 1e-6),
@@ -340,7 +352,7 @@ def test_lockstep_bracket_error_names_its_point():
     limits = [numerical_hmax(field, m, p) for p in points]
     worst = int(np.argmin(limits))
     h_lo = 0.5 * (limits[worst] + sorted(limits)[1])
-    kernels = [_SweepKernel(field, m, p) for p in points]
+    kernels = [sweep_kernel(field, m, p) for p in points]
     with pytest.raises(BracketError) as info:
         _lockstep_hmax(kernels, h_lo, 1e3, 1e-6)
     assert repr(points[worst]) in str(info.value)
@@ -439,6 +451,33 @@ def test_figure_sweep_reads_a_one_shot_grid_for_every_epsilon():
     rows = figure_sweep("s2", epsilons=(0.5, 1.0), base_grid=iter(grid),
                         tol_h=1e-4)
     assert rows == small_sweep()
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_figure_sweep_walks_the_chart_once_per_row(name, monkeypatch):
+    """Each row's sweep kernel is built from the chart data of its
+    constants pass: one eval, covariant_matrix and christoffel call per
+    row, and at most three metric calls (the pass, |X| and the frame)."""
+    calls = collections.Counter()
+
+    def count(cls, method):
+        inner = getattr(cls, method)
+
+        def counted(*args, **kwargs):
+            calls[method] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(cls, method, counted)
+
+    manifold = type(get_example(name).manifold)
+    count(FieldModel, "eval")
+    count(FieldModel, "covariant_matrix")
+    count(manifold, "christoffel")
+    count(manifold, "metric")
+    n = len(figure_sweep(name, epsilons=(0.5, 2.0), base_grid=6))
+    assert n == 12
+    assert calls["eval"] == calls["covariant_matrix"] == n
+    assert calls["christoffel"] == n
+    assert calls["metric"] <= 3 * n
 
 
 def test_figure_sweep_grid_count_uses_family_default():
