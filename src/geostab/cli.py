@@ -155,6 +155,33 @@ def _run_validate(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
+def _usage_problem(args: dict) -> Optional[str]:
+    """The clash between a command's parsed flags, if any."""
+    if args.get("example") == "euclid":
+        if not math.isfinite(args.get("alpha", math.nan)):
+            return "a finite --alpha is required for the euclid example"
+        for flag, dest in (("--point", "base"), ("--epsilon", "epsilons")):
+            if dest in args:
+                return f"argument {flag}: euclid reads --alpha only"
+    family = EXAMPLES.get(args.get("example"))
+    if (family is not None and len(args.get("base", ())) == 2
+            and family.default_base[1] is None):
+        return f"argument --point: {family.name} takes base1 only"
+    return None
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a clash between its flags is a usage error
+    that prints this command's usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = _usage_problem(vars(namespace))
+        if problem:
+            self.error(problem)
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; a flag given sets the RunConfig field named by its dest."""
     parser = argparse.ArgumentParser(
@@ -162,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Step-size bounds and stability experiments for "
                     "geodesic Euler integrators on constant-curvature "
                     "models.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     families = tuple(n for n in EXAMPLE_NAMES if n != "euclid")
     epsilons = dict(
         type=_checked(_finites, "expected finite numbers, comma separated",
@@ -230,16 +258,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    if (args.get("example") == "euclid"
-            and not math.isfinite(args.get("alpha", math.nan))):
-        parser.error("a finite --alpha is required for the euclid example")
-    family = EXAMPLES.get(args.get("example"))
-    if (family is not None and len(args.get("base", ())) == 2
-            and family.default_base[1] is None):
-        parser.error(f"argument --point: {family.name} takes base1 only")
-    return run(RunConfig(**args))
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

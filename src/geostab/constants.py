@@ -4,8 +4,6 @@ All quantities are computed from the covariant derivative matrix A of the
 field and the metric matrix g at a chart point, after the symmetrizing
 change of coordinates B = g^(1/2) A g^(-1/2):
 
-* log_g_norm     largest eigenvalue of sym(B), the one-sided Lipschitz
-                 rate of the field;
 * alpha_point    best constant with <Av, v>_g <= -alpha |Av|_g^2 over all
                  tangent vectors v (cocoercivity);
 * mu_plus_point  largest eigenvalue of sym(-g^(1/2) (I-P) A^(-1) g^(-1/2))
@@ -52,12 +50,6 @@ def _metric_sqrt(g: np.ndarray):
 def _whiten(A: np.ndarray, g: np.ndarray) -> np.ndarray:
     half, half_inv = _metric_sqrt(g)
     return half @ np.asarray(A, dtype=float) @ half_inv
-
-
-def log_g_norm(A: np.ndarray, g: np.ndarray) -> float:
-    """Largest eigenvalue of the g-symmetrized part of A."""
-    B = _whiten(A, g)
-    return float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
 
 
 def alpha_point(A: np.ndarray, g: np.ndarray) -> float:

@@ -267,7 +267,12 @@ class _EmbeddedSphere(ManifoldModel):
 
 
 class Sphere2(_EmbeddedSphere):
-    """Unit sphere in R^3; chart (phi, theta), metric diag(1, cos^2 phi)."""
+    """Unit sphere in R^3; chart (phi, theta), metric diag(1, cos^2 phi).
+
+    unembed recovers phi as arctan2(z, hypot(x, y)), which keeps full
+    relative precision up to the poles (arcsin(z) resolves phi there only
+    to about sqrt(2 * machine epsilon), too coarse for the implicit step).
+    """
 
     name = "s2"
     dim = 2
@@ -303,8 +308,7 @@ class Sphere2(_EmbeddedSphere):
                          [cp, 0.0]])
 
     def unembed(self, x):
-        z = min(max(x[2], -1.0), 1.0)
-        phi = np.arcsin(z)
+        phi = np.arctan2(x[2], np.hypot(x[0], x[1]))
         if np.pi / 2 - abs(phi) < POLE_NUDGE:
             phi = np.sign(phi) * (np.pi / 2 - POLE_NUDGE)
         if abs(x[0]) == 0.0 and abs(x[1]) == 0.0:

@@ -33,6 +33,10 @@ The sequential region constants are region_constants as a plain loop
 over the points, each through the per-point functions; the stacked pass
 of ``geostab.constants`` must give the same constants, bit for bit, and
 raise the same exceptions at the same points.
+
+The logarithmic g-norm of the covariant derivative, the one-sided
+Lipschitz rate of the field, is checked against its closed forms; no
+step rule reads it.
 """
 
 import math
@@ -40,8 +44,8 @@ import math
 import numpy as np
 
 from geostab.bounds import BoundResult
-from geostab.constants import (RegionConstants, alpha_point, mu_minus_point,
-                               mu_plus_point, sigma_point)
+from geostab.constants import (RegionConstants, _whiten, alpha_point,
+                               mu_minus_point, mu_plus_point, sigma_point)
 from geostab.errors import (BracketError, GeostabError, NoBoundError,
                             NonconvergenceError, NotCocoerciveError,
                             SingularConnectionError)
@@ -389,6 +393,12 @@ def sequential_bound_positive(consts):
 
 
 # -- region constants --------------------------------------------------------
+
+
+def log_g_norm(A: np.ndarray, g: np.ndarray) -> float:
+    """Largest eigenvalue of the g-symmetrized part of A."""
+    B = _whiten(A, g)
+    return float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
 
 
 def sequential_region_constants(field, manifold, points) -> RegionConstants:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from geostab.bounds import bound_negative, bound_positive
-from geostab.constants import RegionConstants, log_g_norm, point_constants
+from geostab.constants import RegionConstants, point_constants
 from geostab.experiments import (
     figure_sweep,
     get_example,
@@ -28,7 +28,7 @@ from geostab.integrators import integrate
 from geostab.jacobi import CurvatureSign, curvature_penalty
 
 from odes import field_flow
-from oracles import direction_sweep_delta
+from oracles import direction_sweep_delta, log_g_norm
 
 SEED = 20260814
 

@@ -211,6 +211,32 @@ def test_bound_euclid_rejects_nonfinite_alpha(alpha, capsys):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--point", "5,7"),
+                                         ("--epsilon", "3")])
+def test_bound_euclid_rejects_flags_the_flat_rule_ignores(flag, value,
+                                                          capsys):
+    """The flat rule reads only --alpha; --point 5,7 --epsilon 3 printed
+    h_max 2 and exited 0."""
+    code, err = usage_error(["bound", "--example", "euclid", "--alpha", "1",
+                             flag, value], capsys)
+    assert code == 2
+    assert f"argument {flag}" in err and "euclid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--example", "h2", "--point", "1,2"],
+    ["search", "--example", "s2", "--point", "1,2"],
+    ["bound", "--example", "euclid"],
+    ["bound", "--example", "euclid", "--alpha", "1", "--point", "5"],
+])
+def test_flag_clashes_print_the_command_usage(argv, capsys):
+    """Clashes found after parsing printed the top-level usage line
+    `usage: geostab [-h] {bound,search,figure,validate} ...`."""
+    code, err = usage_error(argv, capsys)
+    assert code == 2
+    assert err.splitlines()[0].startswith(f"usage: geostab {argv[0]} [-h]")
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------

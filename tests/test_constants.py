@@ -29,7 +29,6 @@ from geostab.constants import (
     _full_rank_rows,
     _point_row,
     alpha_point,
-    log_g_norm,
     mu_minus_point,
     mu_plus_point,
     point_constants,
@@ -48,7 +47,7 @@ from geostab.experiments import get_example
 from geostab.fields import FieldModel
 from geostab.manifolds import HALF_PLANE, SPHERE2, Euclidean
 
-from oracles import sequential_region_constants
+from oracles import log_g_norm, sequential_region_constants
 
 EUCLID2 = Euclidean(2)
 

@@ -146,18 +146,48 @@ def test_gie_step_singular_jacobian_raises_nonconvergence():
 
 
 def test_gie_step_nonconvergence_reports_defect():
-    """1e-7 from the s2 chart pole the chart resolves the implicit
-    equation only to about 1e-9, so the step stalls; the error carries
-    the final defect and names the point, h and the iteration count."""
-    field = s2_field(1.0)
-    p = field.manifold.point([math.pi / 2 - 1e-7, 0.3])
+    """s2_field(2.0) at (0.3, 0) with h = 2, far past the certified step:
+    the frozen-Jacobian iteration stalls at a defect of about 2.1; the
+    error carries the final defect and names the point, h and the
+    iteration count."""
+    field = s2_field(2.0)
+    p = field.manifold.point([0.3, 0.0])
     with pytest.raises(NonconvergenceError) as info:
-        gie_step(field, p, 0.4)
+        gie_step(field, p, 2.0)
     defect = info.value.defect
     assert math.isfinite(defect) and defect > GIE_TOL
     message = str(info.value)
-    assert repr(p) in message and "h = 0.4" in message
+    assert repr(p) in message and "h = 2" in message
     assert f"{GIE_MAX_ITER} iterations" in message
+
+
+def test_gie_step_converges_next_to_the_s2_pole():
+    """1e-7 from the s2 chart pole the chart resolves phi to full
+    precision, so the implicit equation is solved to GIE_TOL."""
+    field = s2_field(1.0)
+    m = field.manifold
+    p = m.point([math.pi / 2 - 1e-7, 0.3])
+    q = gie_step(field, p, 0.4)
+    back = m.exp(q, m.tangent(q, -0.4 * field.eval(q).comps))
+    assert m.distance(back, p) <= GIE_TOL
+
+
+@pytest.mark.parametrize("name, base", [("s2", (1.3, None)),
+                                        ("s3", (1.3, 1.0))])
+def test_gie_step_never_fails_along_a_trajectory_into_the_pole(name, base):
+    """A 24-step explicit trajectory at half the certified step (eps = 2)
+    runs to within 1e-6 of the chart pole (s2: phi -> pi/2, s3:
+    psi -> 0); the implicit step converges from every point of it."""
+    family = get_example(name)
+    p = family.manifold.point(family.to_coords(*base))
+    h = 0.5 * theory_bound(name, 2.0, p).h_max
+    field = family.make_field(2.0)
+    traj = integrate(field, p, h, 24)
+    gap = min(math.pi / 2 - abs(q.coords[0]) if name == "s2"
+              else q.coords[0] for q in traj)
+    assert gap < 1e-6
+    for q in traj:
+        gie_step(field, q, h)
 
 
 @pytest.mark.parametrize("eps, coords, h", [(0.5, (0.0, 1.0), 3.0),

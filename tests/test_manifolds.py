@@ -20,7 +20,8 @@ from geostab.errors import (
     DegenerateDirectionError,
     GeostabError,
 )
-from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3, Euclidean, TangentVector
+from geostab.manifolds import (HALF_PLANE, POLE_NUDGE, SPHERE2, SPHERE3,
+                               Euclidean, TangentVector)
 
 EUCLID2 = Euclidean(2)
 MODELS = [SPHERE2, HALF_PLANE, SPHERE3, EUCLID2]
@@ -244,6 +245,27 @@ def test_sphere_distance_against_embedding_dot_product(rng):
         Q = SPHERE2.embed(q)
         expect = math.acos(min(1.0, max(-1.0, float(P @ Q))))
         assert abs(SPHERE2.distance(p, q) - expect) < 1e-10
+
+
+@pytest.mark.parametrize("pole", (1.0, -1.0))
+@pytest.mark.parametrize("gap", [10.0 ** -k for k in range(3, 12)])
+def test_sphere2_chart_round_trip_is_exact_near_the_poles(pole, gap):
+    """embed -> unembed gives phi back to 4 ulp from 1e-3 down to 1e-11
+    off either pole, where arcsin(z) resolved it only to about
+    sqrt(2 * machine epsilon)."""
+    phi = pole * (math.pi / 2 - gap)
+    for theta in (0.0, 0.3, 2.0, 5.5):
+        got = SPHERE2.unembed(SPHERE2.embed(SPHERE2.point([phi, theta])))
+        assert abs(got[0] - phi) <= 4.0 * math.ulp(phi)
+        assert abs(got[1] - theta) <= 1e-15
+
+
+@pytest.mark.parametrize("pole", (1.0, -1.0))
+def test_sphere2_unembed_nudges_the_pole_into_the_chart(pole):
+    """The pole itself lands POLE_NUDGE inside the chart with theta = 0."""
+    got = SPHERE2.unembed(np.array([0.0, 0.0, pole]))
+    assert list(got) == [pole * (math.pi / 2 - POLE_NUDGE), 0.0]
+    SPHERE2.point(got)
 
 
 def test_half_plane_distance_symmetry(rng):
