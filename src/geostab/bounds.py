@@ -56,13 +56,25 @@ def _bisect_rows(nonpositive, lo, hi, tol: float) -> np.ndarray:
     Each row halves its bracket at 0.5 (lo + hi) until hi - lo <= tol * hi
     or the midpoint equals an end (tol = 0: to the last bit).  A batch
     takes the next few halvings of every live row, about LOCKSTEP_BATCH
-    pairs (five levels for one row), on the row's dyadic grid, which a
-    walk then reads; so every row visits the steps of a plain bisection.
+    pairs, so every row visits the steps of a plain bisection.  Many
+    rows (11 or more) take one halving each, and array operations apply
+    the stop rule and the bracket update to all of them.  Fewer rows take
+    several levels (five for one row) on each row's dyadic grid, which a
+    walk row by row then reads; at that size the walk is the cheaper.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out, rows = lo.copy(), np.arange(lo.size)
     while rows.size:
         levels = max(1, int(math.log2(LOCKSTEP_BATCH / rows.size + 1.0)))
+        if levels == 1:
+            mid = 0.5 * (lo + hi)
+            down = nonpositive(rows, mid)
+            done = ~(hi - lo > tol * hi) | (mid == lo) | (mid == hi)
+            out[rows[done]] = lo[done]
+            live = ~done
+            rows, lo, hi = (rows[live], np.where(down, mid, lo)[live],
+                            np.where(down, hi, mid)[live])
+            continue
         # the next `levels` halvings of each row's bracket lie on a dyadic
         # grid of 2^levels + 1 points, filled level by level
         width = 1 << levels

@@ -163,6 +163,8 @@ def _usage_problem(args: dict) -> Optional[str]:
         for flag, dest in (("--point", "base"), ("--epsilon", "epsilons")):
             if dest in args:
                 return f"argument {flag}: euclid reads --alpha only"
+    elif "alpha" in args:
+        return "argument --alpha: only the euclid example reads it"
     family = EXAMPLES.get(args.get("example"))
     if (family is not None and len(args.get("base", ())) == 2
             and family.default_base[1] is None):

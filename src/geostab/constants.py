@@ -18,9 +18,10 @@ change of coordinates B = g^(1/2) A g^(-1/2):
 
 region_constants (and point_constants, its one-point case) runs the
 linear algebra of all sampled points in one stacked pass after one chart
-walk per point, whose data (g, A, X) the pass's rows carry on to the
-sweep kernels of a figure table; the per-point functions serve the
-points off its full-rank path, with the same bits.
+walk per point (the metric, ∇X and X; |X| is read from that metric), whose
+data (|X|, g, A, X) the pass's rows carry on to the sweep kernels of a
+figure table; the per-point functions serve the points off its
+full-rank path, with the same bits.
 """
 
 import math
@@ -197,6 +198,11 @@ def _full_rank_rows(g, A, X):
     return out, on_path
 
 
+def _g_norm(g, x) -> float:
+    """|x| in the metric g, with the bits of ManifoldModel.norm."""
+    return float(np.sqrt(max(x @ g @ x, 0.0)))
+
+
 def _constant_rows(field, manifold, points):
     """Yield (p, *_point_row, |X|, g, A, X) at each of points, in order:
     chart calls point by point, _full_rank_rows once, and the per-point
@@ -207,7 +213,7 @@ def _constant_rows(field, manifold, points):
         for p in points:
             g, A, X = (manifold.metric(p), field.covariant_matrix(p),
                        field.eval(p))
-            data.append((p, g, A, X.comps, X.norm()))
+            data.append((p, g, A, X.comps, _g_norm(g, X.comps)))
     except Exception as exc:  # raised once the rows before it are out
         failure = exc
     if data:

@@ -14,6 +14,13 @@ non-expansive step at a base point (by bisecting in h on the exact worst
 direction, the largest eigenvalue of the step-variation form), the
 certified step of the matching rule from pointwise
 constants, and CSV comparison tables over parameter grids.
+
+A table is computed in stacks: the chart data of its rows feed one
+constants pass per epsilon (``constants._constant_rows``), one
+``_sweep_stack`` call builds the step-variation data of every row from
+the same data, and one lockstep search (``_lockstep_hmax``) finds every
+row's empirical step; ``numerical_hmax`` is that search on a one-row
+stack.
 """
 
 import math
@@ -25,15 +32,15 @@ import numpy as np
 
 from .bounds import (BoundResult, _bisect_rows, _positive_rows,
                      bound_negative, bound_singular)
-from .constants import _aggregate, _constant_rows
+from .constants import _aggregate, _constant_rows, _g_norm
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
 from .integrators import expansivity_ratio, gee_step
-from .jacobi import (CurvatureSign, curvature_sign, gee_jacobi_data,
+from .jacobi import (_T, CurvatureSign, curvature_sign, gee_jacobi_data,
                      jacobi_norm, variation_form)
-from .manifolds import (HALF_PLANE, SPHERE2, SPHERE3, ChartPoint,
-                        ManifoldModel)
+from .manifolds import (DEGENERATE_NORM, HALF_PLANE, SPHERE2, SPHERE3,
+                        ChartPoint, ManifoldModel)
 
 CSV_HEADER = "example,epsilon,base1,base2,h_numeric,h_theory,kappa_at_h,binding"
 
@@ -193,48 +200,80 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-class _SweepKernel:
-    """Per-point data of the step-variation form, from a constants row's
-    |X| and chart data g, A, X (X nonzero) at p; only the frame E at p,
-    led by X, is a chart call.
+def _quad(v, g, w):
+    """v·g·w at each row of stacks v, g, w, each product with the bits of
+    the one-point v @ g @ w."""
+    return (v[:, None, :] @ g @ w[:, :, None])[:, 0, 0]
 
-    Works in frame coefficients: for a unit direction ξ the induced
-    variation has initial value ξ and initial derivative h N ξ with
-    N = Eᵀ g A E, so its squared-norm change is Δ(h, ξ) = ξᵀ M(h) ξ with
-    M(h) = variation_form(I, h N, h * scale), scale = |X| √|ρ|.
+
+def _norms(M):
+    """np.linalg.norm of each matrix of a stack, with its bits."""
+    flat = M.reshape(len(M), 1, -1)
+    return np.sqrt((flat @ _T(flat))[:, 0, 0])
+
+
+def _sweep_stack(manifold: ManifoldModel, points, x_norm, g, A, X):
+    """(N, scale) of the step-variation form at every row of a table,
+    from the stacks of the rows' |X| (X nonzero) and chart data g, A, X.
+
+    Works in frame coefficients: with E the g-orthonormal frame at p led
+    by X (ManifoldModel.frame), a unit direction ξ has the variation with
+    initial value ξ and initial derivative h N ξ, N = Eᵀ g A E, so its
+    squared-norm change is Δ(h, ξ) = ξᵀ M(h) ξ with M(h) =
+    variation_form(I, h N, h * scale), scale = |X| √|ρ|.  The frames are
+    built for all rows at once, with the bits of ManifoldModel.frame;
+    rows off that plain path (|X| below DEGENERATE_NORM or not finite, a
+    Gram–Schmidt candidate below 1e-10) call frame at their point, in
+    order, so its exceptions come where they did.
     """
+    x_norm, g, A, X = (np.asarray(a, dtype=float) for a in (x_norm, g, A, X))
+    n, dim = X.shape
+    plain = (x_norm >= DEGENERATE_NORM) & np.isfinite(x_norm)
+    with np.errstate(divide="ignore", invalid="ignore"):  # off-path rows
+        cols = [X / x_norm[:, None]]
+        if dim == 2:
+            w = (g @ cols[0][:, :, None])[:, :, 0]
+            e2 = np.column_stack([-w[:, 1], w[:, 0]])
+            cols.append(e2 / np.sqrt(_quad(e2, g, e2))[:, None])
+        else:
+            for k in range(dim - 1):
+                cand = np.zeros((n, dim))
+                cand[:, k] = 1.0
+                for e in cols:
+                    cand = cand - _quad(cand, g, e)[:, None] * e
+                nn = np.sqrt(np.maximum(_quad(cand, g, cand), 0.0))
+                plain &= nn >= 1e-10
+                cols.append(cand / nn[:, None])
+    E = np.stack(cols, axis=2)
+    for i in np.flatnonzero(~plain):
+        E[i] = manifold.frame(points[i], manifold.tangent(points[i],
+                                                          X[i])).matrix
+    N = _T(E) @ g @ A @ E
+    scale = x_norm * math.sqrt(abs(manifold.rho))
+    # Structural zeros of the variation blocks.  On the negative branch
+    # the cross term is multiplied by e^(2k), so rounding dust in a block
+    # that is analytically zero (the chart arithmetic of Gamma.X leaves
+    # ~1e-16 residue) would masquerade as exponential growth.  A block
+    # whose norm is rounding-small relative to the whole matrix is
+    # therefore snapped to its exact value: a zero first row, or
+    # perpendicular rows equal to -scale times the identity, which
+    # cancels the growth term.
+    if curvature_sign(manifold.rho) is CurvatureSign.NEGATIVE:
+        R = N / scale[:, None, None]
+        perp = R[:, 1:, :].copy()
+        perp[:, :, 1:] += np.eye(dim - 1)
+        gauge = ALIGN_TOL * (1.0 + _norms(R))
+        aligned, still = _norms(perp) <= gauge, _norms(R[:, :1, :]) <= gauge
+        N[aligned, 1:, 0] = 0.0
+        N[aligned, 1:, 1:] = -scale[aligned, None, None] * np.eye(dim - 1)
+        N[still, 0, :] = 0.0
+    return N, scale
 
-    def __init__(self, manifold: ManifoldModel, p: ChartPoint,
-                 x_norm: float, g, A, X):
-        E = manifold.frame(p, manifold.tangent(p, X)).matrix
-        self.point = p
-        self.dim = manifold.dim
-        self.sign = curvature_sign(manifold.rho)
-        self.N = E.T @ g @ A @ E
-        self.scale = x_norm * math.sqrt(abs(manifold.rho))
-        # Structural zeros of the variation blocks.  On the negative
-        # branch the cross term is multiplied by e^(2k), so rounding
-        # dust in a block that is analytically zero (the chart
-        # arithmetic of Gamma.X leaves ~1e-16 residue) would masquerade
-        # as exponential growth.  A block whose norm is rounding-small
-        # relative to the whole matrix is therefore snapped to its exact
-        # value: a zero first row, or perpendicular rows equal to
-        # -scale times the identity, which cancels the growth term.
-        if self.sign is CurvatureSign.NEGATIVE:
-            R = self.N / self.scale
-            gauge = 1.0 + float(np.linalg.norm(R))
-            perp = R[1:, :].copy()
-            perp[:, 1:] += np.eye(self.dim - 1)
-            if float(np.linalg.norm(perp)) <= ALIGN_TOL * gauge:
-                self.N[1:, 0] = 0.0
-                self.N[1:, 1:] = -self.scale * np.eye(self.dim - 1)
-            if float(np.linalg.norm(R[0, :])) <= ALIGN_TOL * gauge:
-                self.N[0, :] = 0.0
 
-
-def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
-                   tol_h: float) -> np.ndarray:
-    """numerical_hmax at the points of many kernels in one search.
+def _lockstep_hmax(N, scale, sign: CurvatureSign, points, h_lo: float,
+                   h_hi: float, tol_h: float) -> np.ndarray:
+    """numerical_hmax at many points in one search, from the stacks N and
+    scale of _sweep_stack at those points.
 
     The bracket takes λ_max of M(h) at every row and every step of the
     fixed sequence h_lo, h_hi, min(max(1e-3, 2 h_lo) 2^k, h_hi) in one
@@ -244,10 +283,7 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
     relative width tol_h, so every row ends on the step of the
     sequential search.
     """
-    N = np.stack([k.N for k in kernels])
-    scale = np.array([k.scale for k in kernels])
-    eye = np.eye(kernels[0].dim)
-    sign = kernels[0].sign
+    eye = np.eye(N.shape[-1])
 
     def nonpositive(rows, h):
         """λ_max(M(h)) <= 0 at each (row, step) pair."""
@@ -259,13 +295,13 @@ def _lockstep_hmax(kernels: list, h_lo: float, h_hi: float,
     while doubling[-1] < h_hi:
         doubling.append(min(2.0 * doubling[-1], h_hi))
     steps = np.array([h_lo, h_hi] + doubling)
-    n = len(kernels)
+    n = len(N)
     calm = nonpositive(np.repeat(np.arange(n), steps.size),
                        np.tile(steps, n)).reshape(n, -1)
-    for k, stable in zip(kernels, calm[:, 0]):
+    for p, stable in zip(points, calm[:, 0]):
         if not stable:
             raise BracketError(f"step already expansive at h_lo = {h_lo:g} "
-                               f"at {k.point!r}")
+                               f"at {p!r}")
     out = np.full(n, math.inf)
     rows = np.flatnonzero(~calm[:, 1])
     first = np.argmin(calm[rows, 2:], axis=1)
@@ -285,15 +321,17 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
     nonpositive end of the final bracket, so the worst Δ changes sign
     within relative tol_h above it.  When even h_hi is not expansive
     the step is unconditionally stable up to h_hi and math.inf is
-    returned.  This is figure_sweep's lockstep search on one row; a
-    field that vanishes at p raises StationaryPointError.
+    returned.  This is figure_sweep's lockstep search on a one-row
+    stack; a field that vanishes at p raises StationaryPointError.
     """
     if not (0.0 < h_lo < h_hi < math.inf):
         raise GeostabError("step search needs finite 0 < h_lo < h_hi")
-    X = field.require_moving(p)
-    kernel = _SweepKernel(manifold, p, manifold.norm(X), manifold.metric(p),
-                          field.covariant_matrix(p), X.comps)
-    return float(_lockstep_hmax([kernel], h_lo, h_hi, tol_h)[0])
+    X = field.require_moving(p).comps
+    g = manifold.metric(p)
+    N, scale = _sweep_stack(manifold, [p], [_g_norm(g, X)], [g],
+                            [field.covariant_matrix(p)], [X])
+    return float(_lockstep_hmax(N, scale, curvature_sign(manifold.rho), [p],
+                                h_lo, h_hi, tol_h)[0])
 
 
 def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
@@ -321,7 +359,7 @@ def _checked_constants(family: ExampleFamily, eps: float, points):
     """Yield (p, point_constants at p, |X|, g, A, X) for each of points
     from one stacked pass, with the closed forms put in after a
     cross-check to relative 1e-8, so that a slip in either derivation
-    cannot pass silently; |X| and the chart data feed _SweepKernel."""
+    cannot pass silently; |X| and the chart data feed _sweep_stack."""
     for row in _constant_rows(family.make_field(eps), family.manifold,
                               points):
         p, consts = row[0], _aggregate([row], family.manifold.rho)
@@ -385,25 +423,35 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     an explicit list of (base1, base2) pairs.  Rows are ordered by
     (epsilon, grid index), so repeated runs produce identical tables.
     The empirical steps of all rows come from one lockstep search, and
-    so do the certified steps of a positive-curvature family; the
-    constants and sweep kernels of each epsilon come from one stacked
-    pass, one chart walk per row.
+    so do the certified steps of a positive-curvature family.  Each row
+    takes one chart walk; each epsilon's constants come from one stacked
+    pass, and the sweep kernels of the table from one _sweep_stack call
+    on the chart data of those passes.
     """
     family = get_example(example)
+    manifold = family.manifold
     base_grid = (family.default_grid(base_grid)
                  if isinstance(base_grid, int) else list(base_grid))
-    keys, consts, kernels = [], [], []
-    for eps in epsilons:
-        points = (family.manifold.point(family.to_coords(b1, b2))
-                  for b1, b2 in base_grid)
-        for p, c, *chart in _checked_constants(family, eps, points):
-            consts.append(c)
-            kernels.append(_SweepKernel(family.manifold, p, *chart))
-        keys += [(eps, b1, b2) for b1, b2 in base_grid]
-    if not kernels:
+    keys, rows, failure = [], [], None
+    try:
+        for eps in epsilons:
+            for row in _checked_constants(family, eps, (
+                    manifold.point(family.to_coords(b1, b2))
+                    for b1, b2 in base_grid)):
+                rows.append(row)
+            keys += [(eps, b1, b2) for b1, b2 in base_grid]
+    except Exception as exc:  # raised once the rows before it are built
+        failure = exc
+    if rows:
+        points, consts, *chart = zip(*rows)
+        N, scale = _sweep_stack(manifold, points, *chart)
+    if failure is not None:
+        raise failure
+    if not rows:
         return []
     bounds = _family_rule(family, consts)
-    h_num = _lockstep_hmax(kernels, DEFAULT_H_LO, DEFAULT_H_CAP, tol_h)
+    h_num = _lockstep_hmax(N, scale, curvature_sign(manifold.rho), points,
+                           DEFAULT_H_LO, DEFAULT_H_CAP, tol_h)
     return [SweepRow(example=family.name, epsilon=eps, base1=b1, base2=b2,
                      h_numeric=float(h), h_theory=res.h_max,
                      kappa_at_h=res.kappa_at_h, binding=res.binding)

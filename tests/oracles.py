@@ -7,10 +7,16 @@ dimension three), then on local grids around the best direction found
 so far.  It can only approach the worst direction from below, so the
 exact largest eigenvalue must dominate it and agree with it closely.
 
+The point kernel builds the step-variation data of one point at a time,
+with a frame call and the structural-zero pinning on one matrix; the
+stacked kernels of ``geostab.experiments`` must equal it, bit for bit.
+
 The sequential step search is the one-point search as a plain loop:
-scalar λ_max calls on the doubling bracket, then scalar bisection.  The
-lockstep search of ``geostab.experiments`` must visit the same steps and
-so return the same h_numeric, bit for bit.
+scalar λ_max calls on the doubling bracket, then plain scalar bisection.
+The lockstep search of ``geostab.experiments`` must visit the same steps
+and so return the same h_numeric, bit for bit; the lockstep bisection
+``bounds._bisect_rows`` must end every row where the plain bisection
+ends it.
 
 The fixed-point implicit step iterates q <- exp_p(G(q)), with G moving
 h * X|_q back to p by parallel transport; it converges only while the
@@ -44,16 +50,18 @@ import math
 import numpy as np
 
 from geostab.bounds import BoundResult
-from geostab.constants import (RegionConstants, _whiten, alpha_point,
-                               mu_minus_point, mu_plus_point, sigma_point)
+from geostab.constants import (RegionConstants, _g_norm, _whiten,
+                               alpha_point, mu_minus_point, mu_plus_point,
+                               sigma_point)
 from geostab.errors import (BracketError, GeostabError, NoBoundError,
                             NonconvergenceError, NotCocoerciveError,
                             SingularConnectionError)
-from geostab.experiments import (CSV_HEADER, DEFAULT_H_CAP, DEFAULT_H_LO,
-                                 SweepRow, _SweepKernel, unit_directions)
+from geostab.experiments import (ALIGN_TOL, CSV_HEADER, DEFAULT_H_CAP,
+                                 DEFAULT_H_LO, SweepRow, _sweep_stack,
+                                 unit_directions)
 from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
 from geostab.jacobi import (CurvatureSign, _one_minus_sinc, _sinhc_minus_one,
-                            variation_data, variation_form)
+                            curvature_sign, variation_data, variation_form)
 from geostab.manifolds import TangentVector
 
 DEFAULT_DIRS = {2: 512, 3: 2048}
@@ -61,17 +69,49 @@ REFINE_POINTS = 17  # local grid points per axis, spacing width / 8
 MIN_WIDTH = 1e-7  # radians; Δ is quadratic in the angle near its max
 
 
+def point_kernel(manifold, p, x_norm, g, A, X):
+    """(N, scale) of the step-variation form at one point, the reference
+    for the rows of ``_sweep_stack``: the frame E at p led by X from
+    ManifoldModel.frame, N = Eᵀ g A E and scale = |X| √|ρ|, with the
+    structural zeros of the negative branch pinned on this one matrix."""
+    E = manifold.frame(p, manifold.tangent(p, X)).matrix
+    dim = manifold.dim
+    N = E.T @ g @ A @ E
+    scale = x_norm * math.sqrt(abs(manifold.rho))
+    if curvature_sign(manifold.rho) is CurvatureSign.NEGATIVE:
+        R = N / scale
+        gauge = 1.0 + float(np.linalg.norm(R))
+        perp = R[1:, :].copy()
+        perp[:, 1:] += np.eye(dim - 1)
+        if float(np.linalg.norm(perp)) <= ALIGN_TOL * gauge:
+            N[1:, 0] = 0.0
+            N[1:, 1:] = -scale * np.eye(dim - 1)
+        if float(np.linalg.norm(R[0, :])) <= ALIGN_TOL * gauge:
+            N[0, :] = 0.0
+    return N, scale
+
+
 def sweep_kernel(field, manifold, p):
-    """The _SweepKernel at p built the way numerical_hmax builds it."""
-    X = field.require_moving(p)
-    return _SweepKernel(manifold, p, manifold.norm(X), manifold.metric(p),
-                        field.covariant_matrix(p), X.comps)
+    """(N, scale, sign) at p: the one-row stack that numerical_hmax
+    builds."""
+    X = field.require_moving(p).comps
+    g = manifold.metric(p)
+    N, scale = _sweep_stack(manifold, [p], [_g_norm(g, X)], [g],
+                            [field.covariant_matrix(p)], [X])
+    return N[0], scale[0], curvature_sign(manifold.rho)
+
+
+def stack_kernels(kernels):
+    """The (N, scale, sign) stacks of _lockstep_hmax from sweep_kernel
+    values of one manifold."""
+    N, scale, sign = zip(*kernels)
+    return np.stack(N), np.array(scale), sign[0]
 
 
 def kernel_matrix(kernel, h):
-    """The symmetric matrix M(h) of Δ(h, ·) of a _SweepKernel."""
-    return variation_form(np.eye(kernel.dim), h * kernel.N, h * kernel.scale,
-                          kernel.sign)
+    """The symmetric matrix M(h) of Δ(h, ·) of a sweep_kernel value."""
+    N, scale, sign = kernel
+    return variation_form(np.eye(len(N)), h * N, h * scale, sign)
 
 
 def kernel_worst(kernel, h):
@@ -242,15 +282,7 @@ def sequential_hmax(field, manifold, p, h_lo=DEFAULT_H_LO,
     lo, hi = h_lo, min(max(1e-3, 2.0 * h_lo), h_hi)
     while worst(hi) <= 0.0:
         lo, hi = hi, min(2.0 * hi, h_hi)
-    while hi - lo > tol_h * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if worst(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return plain_bisection(lambda h: worst(h) <= 0.0, lo, hi, tol_h)
 
 
 def fixed_point_gie_step(field, p, h, tol=GIE_TOL, max_iter=GIE_MAX_ITER):
@@ -274,6 +306,21 @@ def fixed_point_gie_step(field, p, h, tol=GIE_TOL, max_iter=GIE_MAX_ITER):
 
 
 # -- step-rule oracles -------------------------------------------------------
+
+
+def plain_bisection(nonpositive, lo, hi, tol):
+    """One bracket [lo, hi] halved at 0.5 (lo + hi), one scalar
+    nonpositive(h) call at a time, until hi - lo <= tol * hi or the
+    midpoint equals an end; returns the nonpositive end."""
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if nonpositive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def separate_f_functions(kappa, sign):
@@ -377,16 +424,7 @@ def sequential_bound_positive(consts):
         binding = "flat" if 2.0 * alpha <= cap else "kappa-cap"
         h = ceiling
     else:
-        lo, hi = 0.0, ceiling
-        while lo < hi:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if F(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        h = lo
+        h = plain_bisection(lambda x: F(x) <= 0.0, 0.0, ceiling, 0.0)
         binding = "curvature"
     return BoundResult(h_max=h, rule="positive", binding=binding,
                        kappa_at_h=h * scale)

@@ -38,7 +38,8 @@ from geostab.jacobi import CurvatureSign, curvature_penalty, f_functions
 
 from oracles import (separate_curvature_penalty, separate_damped_penalty,
                      separate_f_functions, separate_kappa_coth_minus_one,
-                     separate_negative_rhs, sequential_bound_positive)
+                     separate_negative_rhs, plain_bisection,
+                     sequential_bound_positive)
 
 POS = CurvatureSign.POSITIVE
 NEG = CurvatureSign.NEGATIVE
@@ -207,6 +208,37 @@ def test_positive_rows_square_like_a_scalar(alpha, mu, C, rho):
     so a batch squaring by multiplication ends one ulp off."""
     rows = [make_consts(alpha=alpha, mu_plus=mu, sup_norm=C, rho=rho)]
     assert _positive_rows(rows * 3) == [sequential_bound_positive(rows[0])] * 3
+
+
+@pytest.mark.parametrize("kind", ["monotone", "hash-sign"])
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+@pytest.mark.parametrize("n", [1, 5, 10, 11, 32, 200])
+def test_bisect_rows_matches_plain_bisection(n, tol, kind):
+    """Every row ends where a plain scalar bisection of its bracket ends
+    it, bit for bit, for a monotone predicate and for one without any
+    order (the parity of a hash).  Up to ten live rows take several
+    halvings a batch and the walk row by row; eleven or more take one
+    halving each, applied as arrays, until few rows are left."""
+    rng = np.random.default_rng(n)
+    lo = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))
+    hi = lo + rng.uniform(1e-3, 3.0, n)
+    root = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
+
+    def holds(row, h):
+        return h <= root[row] if kind == "monotone" else hash((row, h)) % 3 > 0
+
+    batches = []
+
+    def nonpositive(rows, h):
+        batches.append(len(rows))
+        return np.array([holds(r, x) for r, x in zip(rows.tolist(),
+                                                     h.tolist())])
+
+    got = bounds._bisect_rows(nonpositive, lo, hi, tol)
+    want = [plain_bisection(lambda h: holds(r, h), float(lo[r]),
+                            float(hi[r]), tol) for r in range(n)]
+    assert got.tolist() == want
+    assert (batches[0] == n) == (n >= 11)
 
 
 BAD_POSITIVE_ROWS = [make_consts(rho=-1.0), make_consts(rho=0.0),

@@ -223,15 +223,31 @@ def test_bound_euclid_rejects_flags_the_flat_rule_ignores(flag, value,
     assert f"argument {flag}" in err and "euclid" in err
 
 
+@pytest.mark.parametrize("name", ["s2", "h2", "s3", "h2-singular"])
+def test_bound_rejects_alpha_outside_euclid(name, capsys):
+    """Only the euclid flat rule reads --alpha; `bound --example s2
+    --alpha 3` printed the s2 certificate and exited 0."""
+    code, err = usage_error(["bound", "--example", name, "--alpha", "3"],
+                            capsys)
+    assert code == 2
+    assert "argument --alpha" in err and "euclid" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--example", "h2", "--point", "1,2"],
     ["search", "--example", "s2", "--point", "1,2"],
     ["bound", "--example", "euclid"],
     ["bound", "--example", "euclid", "--alpha", "1", "--point", "5"],
+    ["bound", "--example", "s2", "--alpha", "3"],
+    ["bound", "--example", "h2", "--alpha", "3"],
+    ["bound", "--example", "s3", "--alpha", "3"],
+    ["bound", "--example", "h2-singular", "--alpha", "3"],
+    ["bound", "--example", "s2", "--alpha", "nan"],
 ])
 def test_flag_clashes_print_the_command_usage(argv, capsys):
     """Clashes found after parsing printed the top-level usage line
-    `usage: geostab [-h] {bound,search,figure,validate} ...`."""
+    `usage: geostab [-h] {bound,search,figure,validate} ...`; --alpha on
+    a family other than euclid was dropped, and the run exited 0."""
     code, err = usage_error(argv, capsys)
     assert code == 2
     assert err.splitlines()[0].startswith(f"usage: geostab {argv[0]} [-h]")

@@ -13,17 +13,19 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from geostab.errors import (BracketError, GeostabError,
-                            InconsistentConstantsError, StationaryPointError)
+from geostab.errors import (BracketError, DegenerateDirectionError,
+                            GeostabError, InconsistentConstantsError,
+                            StationaryPointError)
 from geostab.experiments import (
     CSV_HEADER,
     EXAMPLES,
     SweepRow,
     _lockstep_hmax,
+    _sweep_stack,
     figure_sweep,
     get_example,
     jacobi_validation,
@@ -37,11 +39,12 @@ from geostab.experiments import (
 )
 from geostab.fields import FieldModel
 from geostab.jacobi import gee_jacobi_data, jacobi_norm
-from geostab.manifolds import Euclidean
+from geostab.manifolds import Euclidean, ManifoldModel
 
 from conftest import linear_field, make_field
-from oracles import (direction_sweep_delta, refined_sweep, rows_from_csv,
-                     sequential_hmax, sweep_deltas, sweep_kernel)
+from oracles import (direction_sweep_delta, point_kernel, refined_sweep,
+                     rows_from_csv, sequential_hmax, stack_kernels,
+                     sweep_deltas, sweep_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +142,90 @@ def test_sweep_delta_negative_for_small_h():
              else m.point((0.85, 1.1, 0.2)) if name == "s3"
              else m.point((0.3, 1.4)))
         assert direction_sweep_delta(field, m, p, 1e-3) < 0.0
+
+
+STACK_FAMILIES = ("s2", "h2", "s3", "h2-singular", "euclid2", "euclid3")
+
+
+def draw_stack_row(name, data, i):
+    """(manifold, p, g, A, X) of one drawn row of a kernel stack; an s3
+    row may put X along a chart axis, off the plain frame path."""
+    if name.startswith("euclid"):
+        m = Euclidean(int(name[-1]))
+        M = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
+                                        min_size=m.dim ** 2,
+                                        max_size=m.dim ** 2),
+                               label=f"matrix{i}")).reshape(m.dim, m.dim)
+        field = linear_field(m, M - 2.0 * np.eye(m.dim))
+        box = ((-2.0, 2.0),) * m.dim
+    else:
+        field = make_field(name, eps=data.draw(st.floats(0.5, 2.0),
+                                               label=f"eps{i}"))
+        m = field.manifold
+        box = SAMPLE_BOXES["h2" if name == "h2-singular" else name]
+    p = m.point(tuple(data.draw(st.floats(lo, hi), label=f"coord{i}.{k}")
+                      for k, (lo, hi) in enumerate(box)))
+    X = field.eval(p).comps
+    assume(m.norm(field.eval(p)) > 1e-3)
+    axis = data.draw(st.sampled_from([None, 0, 1, 2] if name == "s3"
+                                     else [None]), label=f"axis{i}")
+    if axis is not None:
+        X = data.draw(st.floats(0.1, 2.0), label=f"along{i}") * np.eye(3)[axis]
+    return m, p, m.metric(p), field.covariant_matrix(p), X
+
+
+@pytest.mark.parametrize("name", STACK_FAMILIES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_sweep_stack_rows_equal_the_point_kernel(name, data, n):
+    """Every row of one _sweep_stack call equals the point kernel, bit for
+    bit: on the spheres, on H² with its pinned rows (every h2-singular
+    row), on an s3 field along a chart axis (a frame call at its point)
+    and on Euclidean fields (ρ = 0, scale 0)."""
+    rows = [draw_stack_row(name, data, i) for i in range(n)]
+    m = rows[0][0]
+    _, points, g, A, X = zip(*rows)
+    x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
+    N, scale = _sweep_stack(m, points, x_norm, g, A, X)
+    for i, row in enumerate(rows):
+        want_N, want_scale = point_kernel(*row[:2], x_norm[i], *row[2:])
+        assert N[i].tobytes() == want_N.tobytes()
+        assert scale[i] == want_scale
+    if name == "h2-singular":
+        assert np.all(N[:, 0, :] == 0.0) and np.all(N[:, 1, 1] == -scale)
+
+
+def test_sweep_stack_calls_frame_only_off_the_plain_path(monkeypatch):
+    """Only the rows off the plain path call ManifoldModel.frame, in row
+    order: an s3 field along the first or second chart axis, whose
+    Gram–Schmidt candidate vanishes, and a vanishing field, whose
+    DegenerateDirectionError comes from the stack at its row."""
+    calls = []
+    frame = ManifoldModel.frame
+
+    def counted(self, p, first):
+        calls.append(p)
+        return frame(self, p, first)
+    monkeypatch.setattr(ManifoldModel, "frame", counted)
+    field = make_field("s3", eps=1.0)
+    m = field.manifold
+    points = [m.point((0.9, 1.1, 0.3 * k)) for k in range(5)]
+    X = [field.eval(p).comps for p in points]
+    X[1], X[3], X[4] = np.eye(3)[0], 0.5 * np.eye(3)[1], 2.0 * np.eye(3)[2]
+    g = [m.metric(p) for p in points]
+    A = [field.covariant_matrix(p) for p in points]
+    x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
+    N, _ = _sweep_stack(m, points, x_norm, g, A, X)
+    assert calls == [points[1], points[3]]
+    for i, p in enumerate(points):
+        assert N[i].tobytes() == point_kernel(m, p, x_norm[i], g[i], A[i],
+                                              X[i])[0].tobytes()
+    calls.clear()
+    X[2] = np.zeros(3)
+    x_norm[2] = 0.0
+    with pytest.raises(DegenerateDirectionError):
+        _sweep_stack(m, points, x_norm, g, A, X)
+    assert calls == [points[1], points[2]]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +384,7 @@ def test_lockstep_hmax_matches_sequential_search(name, data, n):
     """Several random points with their own ε in [0.5, 2], searched in one
     lockstep call, give h_numeric equal to the sequential search bit for
     bit; so does numerical_hmax at each point alone."""
-    kernels, want = [], []
+    kernels, points, want = [], [], []
     for i in range(n):
         coords = tuple(data.draw(st.floats(lo, hi), label=f"point{i}")
                        for lo, hi in SAMPLE_BOXES[name])
@@ -306,9 +393,11 @@ def test_lockstep_hmax_matches_sequential_search(name, data, n):
         m = field.manifold
         p = m.point(coords)
         kernels.append(sweep_kernel(field, m, p))
+        points.append(p)
         want.append(sequential_hmax(field, m, p))
         assert numerical_hmax(field, m, p) == want[-1]
-    assert _lockstep_hmax(kernels, 1e-6, 1e3, 1e-6).tolist() == want
+    assert _lockstep_hmax(*stack_kernels(kernels), points, 1e-6, 1e3,
+                          1e-6).tolist() == want
 
 
 def test_lockstep_hmax_mixes_finite_and_unconditional_rows(rng):
@@ -323,14 +412,15 @@ def test_lockstep_hmax_mixes_finite_and_unconditional_rows(rng):
               m.point((float(rng.uniform(-2.0, 2.0)),
                        float(rng.uniform(0.2, 5.0)))))
              for i in range(40)]
-    kernels = [sweep_kernel(f, m, p) for f, p in cases]
+    stacks = stack_kernels([sweep_kernel(f, m, p) for f, p in cases])
+    points = [p for _, p in cases]
     h_min = min(sequential_hmax(f, m, p) for f, p in cases)
     for h_lo, h_hi, tol_h in ((1e-6, 1e3, 1e-6), (1e-6, 1e3, 1e-2),
                               (1e-6, 1e3, 0.0), (1e-6, 0.4, 1e-6),
                               (0.75 * h_min, 1e3, 1e-6)):
         want = [sequential_hmax(f, m, p, h_lo, h_hi, tol_h)
                 for f, p in cases]
-        got = _lockstep_hmax(kernels, h_lo, h_hi, tol_h).tolist()
+        got = _lockstep_hmax(*stacks, points, h_lo, h_hi, tol_h).tolist()
         assert got == want
         assert all(h == math.inf for h in got[1::5])
 
@@ -352,9 +442,9 @@ def test_lockstep_bracket_error_names_its_point():
     limits = [numerical_hmax(field, m, p) for p in points]
     worst = int(np.argmin(limits))
     h_lo = 0.5 * (limits[worst] + sorted(limits)[1])
-    kernels = [sweep_kernel(field, m, p) for p in points]
+    stacks = stack_kernels([sweep_kernel(field, m, p) for p in points])
     with pytest.raises(BracketError) as info:
-        _lockstep_hmax(kernels, h_lo, 1e3, 1e-6)
+        _lockstep_hmax(*stacks, points, h_lo, 1e3, 1e-6)
     assert repr(points[worst]) in str(info.value)
     with pytest.raises(BracketError, match=re.escape(repr(points[worst]))):
         numerical_hmax(field, m, points[worst], h_lo=h_lo)
@@ -456,8 +546,9 @@ def test_figure_sweep_reads_a_one_shot_grid_for_every_epsilon():
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_figure_sweep_walks_the_chart_once_per_row(name, monkeypatch):
     """Each row's sweep kernel is built from the chart data of its
-    constants pass: one eval, covariant_matrix and christoffel call per
-    row, and at most three metric calls (the pass, |X| and the frame)."""
+    constants pass: one eval, covariant_matrix, christoffel and metric
+    call per row; |X| and the frames come from that metric, so no row
+    calls ManifoldModel.frame."""
     calls = collections.Counter()
 
     def count(cls, method):
@@ -473,11 +564,12 @@ def test_figure_sweep_walks_the_chart_once_per_row(name, monkeypatch):
     count(FieldModel, "covariant_matrix")
     count(manifold, "christoffel")
     count(manifold, "metric")
+    count(ManifoldModel, "frame")
     n = len(figure_sweep(name, epsilons=(0.5, 2.0), base_grid=6))
     assert n == 12
     assert calls["eval"] == calls["covariant_matrix"] == n
-    assert calls["christoffel"] == n
-    assert calls["metric"] <= 3 * n
+    assert calls["christoffel"] == calls["metric"] == n
+    assert calls["frame"] == 0
 
 
 def test_figure_sweep_grid_count_uses_family_default():
