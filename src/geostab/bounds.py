@@ -27,8 +27,7 @@ from .jacobi import CurvatureSign, _f_of, _penalty, _terms
 POS, NEG = CurvatureSign.POSITIVE, CurvatureSign.NEGATIVE
 R_TOL = 1e-12
 FLAT_RATIO = (2.0 - math.sqrt(3.0)) * (1.0 + 1e-12)  # sup of D/kc, raised
-LOCKSTEP_BATCH = 32  # (row, step) pairs per batch of a lockstep search
-#                      that fewer rows fill with several steps each
+FEW_ROWS = 11  # live rows below which a bisection walks predicted paths
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,67 +48,75 @@ def euclidean_bound(alpha: float) -> BoundResult:
                        kappa_at_h=0.0)
 
 
-def _bisect_rows(nonpositive, lo, hi, tol: float) -> np.ndarray:
+def _bisect_rows(excess, lo, hi, tol: float, at_lo, at_hi) -> np.ndarray:
     """The nonpositive end of each row's bracket [lo, hi], bisected for
-    all rows in lockstep; nonpositive(rows, h) is true at lo, false at hi.
+    all rows in lockstep; excess(rows, h) decides by its sign (<= 0 is
+    nonpositive), and at_lo, at_hi are its values at the ends.
 
     Each row halves its bracket at 0.5 (lo + hi) until hi - lo <= tol * hi
-    or the midpoint equals an end (tol = 0: to the last bit).  A batch
-    takes the next few halvings of every live row, about LOCKSTEP_BATCH
-    pairs, so every row visits the steps of a plain bisection.  Many
-    rows (11 or more) take one halving each, and array operations apply
-    the stop rule and the bracket update to all of them.  Fewer rows take
-    several levels (five for one row) on each row's dyadic grid, which a
-    walk row by row then reads; at that size the walk is the cheaper.
+    or the midpoint equals an end (tol = 0: to the last bit).  FEW_ROWS or
+    more live rows take one halving each per excess call, as arrays.
+    Fewer rows walk predicted paths (_walk_paths): the midpoints their
+    bisection visits if a regula falsi guess is the root, all in one
+    call, read up to the first whose sign differs from the guess.  Up to
+    there the real bracket is the predicted one, so every midpoint read
+    is one the plain bisection visits, computed by the same 0.5 (lo + hi)
+    from the same bracket: every row ends on the plain bisection's bit,
+    for any excess, monotone or not.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, hi, at_lo, at_hi = (np.array(a, dtype=float)
+                            for a in (lo, hi, at_lo, at_hi))
     out, rows = lo.copy(), np.arange(lo.size)
     while rows.size:
-        levels = max(1, int(math.log2(LOCKSTEP_BATCH / rows.size + 1.0)))
-        if levels == 1:
-            mid = 0.5 * (lo + hi)
-            down = nonpositive(rows, mid)
-            done = ~(hi - lo > tol * hi) | (mid == lo) | (mid == hi)
-            out[rows[done]] = lo[done]
-            live = ~done
-            rows, lo, hi = (rows[live], np.where(down, mid, lo)[live],
-                            np.where(down, hi, mid)[live])
-            continue
-        # the next `levels` halvings of each row's bracket lie on a dyadic
-        # grid of 2^levels + 1 points, filled level by level
-        width = 1 << levels
-        grid = np.empty((rows.size, width + 1))
-        grid[:, 0], grid[:, -1] = lo, hi
-        half = width
-        while half > 1:
-            grid[:, half // 2::half] = 0.5 * (grid[:, :-1:half]
-                                              + grid[:, half::half])
-            half //= 2
-        down = nonpositive(np.repeat(rows, width - 1),
-                           grid[:, 1:-1].ravel()).reshape(rows.size, -1)
-        kept, lo, hi = [], [], []
-        for row, g, d in zip(rows.tolist(), grid.tolist(), down.tolist()):
-            pos, half = 0, width // 2
-            while half:
-                left, mid, right = g[pos], g[pos + half], g[pos + 2 * half]
-                if (not right - left > tol * right or mid == left
-                        or mid == right):
-                    out[row] = left
-                    break
-                pos += half * d[pos + half - 1]
-                half //= 2
-            else:
-                kept.append(row)
-                lo.append(g[pos])
-                hi.append(g[pos + 1])
-        rows, lo, hi = np.array(kept, dtype=int), np.array(lo), np.array(hi)
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > tol * hi) & (mid != lo) & (mid != hi)
+        if not live.all():
+            out[rows[~live]] = lo[~live]
+            rows, lo, hi, at_lo, at_hi, mid = (
+                a[live] for a in (rows, lo, hi, at_lo, at_hi, mid))
+        if rows.size >= FEW_ROWS:
+            val = excess(rows, mid)
+            down = val <= 0.0
+            lo, at_lo = np.where(down, mid, lo), np.where(down, val, at_lo)
+            hi, at_hi = np.where(down, hi, mid), np.where(down, at_hi, val)
+        elif rows.size:
+            _walk_paths(excess, rows, lo, hi, at_lo, at_hi, tol)
     return out
+
+
+def _walk_paths(excess, rows, lo, hi, at_lo, at_hi, tol: float) -> None:
+    """One excess call for the live rows, brackets updated in place: a
+    row guesses its root by regula falsi from its end values (the
+    midpoint when that is not strictly inside), lists the midpoints its
+    bisection visits if the guess is exact, and takes the real signs
+    along them up to the first that differs from the guess."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        guess = lo - at_lo * (hi - lo) / (at_hi - at_lo)
+    guess = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    paths = []
+    for a, b, g in zip(lo.tolist(), hi.tolist(), guess.tolist()):
+        paths.append([])
+        while b - a > tol * b and (mid := 0.5 * (a + b)) not in (a, b):
+            paths[-1].append(mid)
+            a, b = (mid, b) if mid <= g else (a, mid)
+    vals = excess(np.repeat(rows, [len(p) for p in paths]),
+                  np.concatenate(paths)).tolist()
+    for i, (path, g) in enumerate(zip(paths, guess.tolist())):
+        for mid, val in zip(path, vals):
+            if val <= 0.0:
+                lo[i], at_lo[i] = mid, val
+            else:
+                hi[i], at_hi[i] = mid, val
+            if (val <= 0.0) != (mid <= g):
+                break
+        del vals[:len(path)]
 
 
 def _positive_rows(consts_seq) -> list:
     """bound_positive at every constant set of consts_seq, in one search:
     the rows are checked in order, one vectorised call makes every
-    ceiling test, and the curvature-binding rows bisect in lockstep."""
+    ceiling test, and the curvature-binding rows bisect in lockstep from
+    F(0) = -2 alpha (G(0) = 0) and F at the ceiling."""
     for consts in consts_seq:
         if consts.rho <= 0:
             raise GeostabError("positive-curvature rule needs rho > 0")
@@ -126,17 +133,19 @@ def _positive_rows(consts_seq) -> list:
          for c in consts_seq], dtype=float).reshape(-1, 3).T
     cap = math.pi / scale
 
-    def nonpositive(rows, h):
-        """F(h) = h - 2 alpha + 2 mu G(h s) <= 0, G as at one scalar."""
+    def excess(rows, h):
+        """F(h) = h - 2 alpha + 2 mu G(h s), G as at one scalar."""
         k = h * scale[rows]
         G = _penalty(k, _terms(k, POS, pointwise=True), POS)
-        return h - 2.0 * alpha[rows] + 2.0 * mu[rows] * G <= 0.0
+        return h - 2.0 * alpha[rows] + 2.0 * mu[rows] * G
 
     h = np.minimum(2.0 * alpha, cap)
-    flat = (mu <= 0.0) | nonpositive(np.arange(h.size), h)
+    at_h = excess(np.arange(h.size), h)
+    flat = (mu <= 0.0) | (at_h <= 0.0)
     curved = np.flatnonzero(~flat)
-    h[curved] = _bisect_rows(lambda rows, x: nonpositive(curved[rows], x),
-                             np.zeros(curved.size), h[curved], 0.0)
+    h[curved] = _bisect_rows(lambda rows, x: excess(curved[rows], x),
+                             np.zeros(curved.size), h[curved], 0.0,
+                             -2.0 * alpha[curved], at_h[curved])
     bindings = np.where(flat, np.where(2.0 * alpha <= cap, "flat",
                                        "kappa-cap"), "curvature")
     return [BoundResult(h_max=hi, rule="positive", binding=str(b),

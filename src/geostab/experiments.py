@@ -55,6 +55,7 @@ VALIDATION_EPSILON = 1.0  # jacobi_validation's field parameter,
 VALIDATION_H_RANGE = (0.05, 0.5)  # its range of step sizes
 VALIDATION_DELTA = 1e-6  # and its central-difference step
 CROSS_CHECK_RTOL = 1e-8
+SCAN_STEPS = 15  # bracket steps every row of a lockstep search scans
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
 #                    near 1e-15; genuine couplings are order one)
@@ -275,39 +276,46 @@ def _lockstep_hmax(N, scale, sign: CurvatureSign, points, h_lo: float,
     """numerical_hmax at many points in one search, from the stacks N and
     scale of _sweep_stack at those points.
 
-    The bracket takes λ_max of M(h) at every row and every step of the
-    fixed sequence h_lo, h_hi, min(max(1e-3, 2 h_lo) 2^k, h_hi) in one
-    stacked eigvalsh call, and each row takes its first expansive
-    doubling step, the bracket of the sequential search.  The bisection
-    is the lockstep one of the bound rules (bounds._bisect_rows) to
-    relative width tol_h, so every row ends on the step of the
-    sequential search.
+    The bracket takes λ_max of M(h) along the fixed sequence h_lo,
+    min(max(1e-3, 2 h_lo) 2^k, h_hi) up to h_hi in two stacked calls:
+    every row at the first SCAN_STEPS steps and at h_hi, then the rows
+    expansive at h_hi but calm up to the cut at the rest.  Each such row
+    takes its first expansive doubling step, the bracket of the
+    sequential search; rows calm at h_hi are unconditional (inf).  The
+    bisection is the lockstep one of the bound rules (bounds._bisect_rows)
+    to relative width tol_h, from λ_max at the bracket ends, so every row
+    ends on the step of the sequential search.
     """
     eye = np.eye(N.shape[-1])
 
-    def nonpositive(rows, h):
-        """λ_max(M(h)) <= 0 at each (row, step) pair."""
-        M = variation_form(eye, h[:, None, None] * N[rows], h * scale[rows],
-                           sign)
-        return np.linalg.eigvalsh(M)[:, -1] <= 0.0
+    def worst(rows, h):
+        """λ_max(M(h)) at each (row, step) pair of rows and h broadcast."""
+        rows, h = np.broadcast_arrays(rows, h)
+        M = variation_form(eye, h.ravel()[:, None, None] * N[rows.ravel()],
+                           h.ravel() * scale[rows.ravel()], sign)
+        return np.linalg.eigvalsh(M)[:, -1].reshape(h.shape)
 
-    doubling = [min(max(1e-3, 2.0 * h_lo), h_hi)]
-    while doubling[-1] < h_hi:
-        doubling.append(min(2.0 * doubling[-1], h_hi))
-    steps = np.array([h_lo, h_hi] + doubling)
-    n = len(N)
-    calm = nonpositive(np.repeat(np.arange(n), steps.size),
-                       np.tile(steps, n)).reshape(n, -1)
-    for p, stable in zip(points, calm[:, 0]):
+    steps = [h_lo, min(max(1e-3, 2.0 * h_lo), h_hi)]
+    while steps[-1] < h_hi:
+        steps.append(min(2.0 * steps[-1], h_hi))
+    steps, cut, n = np.array(steps), min(SCAN_STEPS, len(steps) - 1), len(N)
+    lam = np.full((n, steps.size), math.nan)  # the steps end at h_hi
+    cols = np.r_[:cut, steps.size - 1]
+    lam[:, cols] = worst(np.arange(n)[:, None], steps[cols])
+    for p, stable in zip(points, lam[:, 0] <= 0.0):
         if not stable:
             raise BracketError(f"step already expansive at h_lo = {h_lo:g} "
                                f"at {p!r}")
+    calm = lam <= 0.0
+    late = np.flatnonzero(~calm[:, -1] & calm[:, :cut].all(axis=1))
+    if late.size:
+        lam[late, cut:-1] = worst(late[:, None], steps[cut:-1])
+    rows = np.flatnonzero(~calm[:, -1])
+    first = np.argmin(lam[rows, 1:] <= 0.0, axis=1)
     out = np.full(n, math.inf)
-    rows = np.flatnonzero(~calm[:, 1])
-    first = np.argmin(calm[rows, 2:], axis=1)
-    out[rows] = _bisect_rows(
-        lambda r, h: nonpositive(rows[r], h),
-        np.where(first > 0, steps[1 + first], h_lo), steps[2 + first], tol_h)
+    out[rows] = _bisect_rows(lambda r, h: worst(rows[r], h),
+                             steps[first], steps[first + 1], tol_h,
+                             lam[rows, first], lam[rows, first + 1])
     return out
 
 

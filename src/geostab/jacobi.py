@@ -64,15 +64,20 @@ def _even_series(u2, coeffs):
 
 
 def _series_or_direct(u, coeffs, direct):
-    """The series below SERIES_KAPPA, direct(u) from there on; the
-    direct form is evaluated only on the elements it serves."""
+    """The series below SERIES_KAPPA, direct(u) from there on; each form
+    is evaluated only on the elements it serves, and not at all when it
+    serves none."""
     u = np.asarray(u, dtype=float)
     large = np.abs(u) >= SERIES_KAPPA
-    tiny = np.where(large, 0.0, u)
-    out = np.array(_even_series(tiny * tiny, coeffs))
-    if large.any():
-        out[large] = direct(u[large])
-    return out[()]
+    if not large.any():
+        return _even_series(u * u, coeffs)
+    if large.all():
+        return direct(u)
+    out, small = np.empty_like(u), ~large
+    part = u[small]
+    out[small] = _even_series(part * part, coeffs)
+    out[large] = direct(u[large])
+    return out
 
 
 def _one_minus_sinc(u):

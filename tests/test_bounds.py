@@ -210,35 +210,87 @@ def test_positive_rows_square_like_a_scalar(alpha, mu, C, rho):
     assert _positive_rows(rows * 3) == [sequential_bound_positive(rows[0])] * 3
 
 
-@pytest.mark.parametrize("kind", ["monotone", "hash-sign"])
+def regula_falsi_guess(lo, hi, at_lo, at_hi):
+    """The root guess of a few-row batch: regula falsi from the end
+    values, or the midpoint when that is not strictly inside."""
+    with np.errstate(all="ignore"):
+        g = float(np.float64(lo) - at_lo * (hi - lo) / (np.float64(at_hi)
+                                                          - at_lo))
+    return g if lo < g < hi else 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", ["monotone", "hash-sign", "smooth"])
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 @pytest.mark.parametrize("n", [1, 5, 10, 11, 32, 200])
 def test_bisect_rows_matches_plain_bisection(n, tol, kind):
     """Every row ends where a plain scalar bisection of its bracket ends
-    it, bit for bit, for a monotone predicate and for one without any
-    order (the parity of a hash).  Up to ten live rows take several
-    halvings a batch and the walk row by row; eleven or more take one
-    halving each, applied as arrays, until few rows are left."""
+    it, bit for bit, for excess values of +-1 from a monotone predicate
+    and from one without any order (the parity of a hash), and for a
+    smooth monotone excess.  Eleven or more live rows take one halving
+    each per call, applied as arrays, until few rows are left; fewer
+    rows put each row's whole predicted path into the first call."""
     rng = np.random.default_rng(n)
     lo = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))
     hi = lo + rng.uniform(1e-3, 3.0, n)
     root = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
 
-    def holds(row, h):
-        return h <= root[row] if kind == "monotone" else hash((row, h)) % 3 > 0
+    def value(row, h):
+        if kind == "smooth":
+            return math.expm1(h - root[row]) * (1.0 + h * h)
+        holds = (h <= root[row] if kind == "monotone"
+                 else hash((row, h)) % 3 > 0)
+        return -1.0 if holds else 1.0
 
     batches = []
 
-    def nonpositive(rows, h):
-        batches.append(len(rows))
-        return np.array([holds(r, x) for r, x in zip(rows.tolist(),
+    def excess(rows, h):
+        batches.append((rows.tolist(), h.tolist()))
+        return np.array([value(r, x) for r, x in zip(rows.tolist(),
                                                      h.tolist())])
 
-    got = bounds._bisect_rows(nonpositive, lo, hi, tol)
-    want = [plain_bisection(lambda h: holds(r, h), float(lo[r]),
+    at_lo = [value(r, lo[r]) for r in range(n)]
+    at_hi = [value(r, hi[r]) for r in range(n)]
+    got = bounds._bisect_rows(excess, lo, hi, tol, at_lo, at_hi)
+    want = [plain_bisection(lambda h: value(r, h) <= 0.0, float(lo[r]),
                             float(hi[r]), tol) for r in range(n)]
     assert got.tolist() == want
-    assert (batches[0] == n) == (n >= 11)
+    if n >= 11:
+        assert batches[0] == (list(range(n)), (0.5 * (lo + hi)).tolist())
+    else:
+        paths = []
+        for r in range(n):
+            guess = regula_falsi_guess(lo[r], hi[r], at_lo[r], at_hi[r])
+            plain_bisection(lambda h: paths.append((r, h)) or h <= guess,
+                            float(lo[r]), float(hi[r]), tol)
+        assert list(zip(*batches[0])) == paths
+
+
+def test_single_positive_rows_take_few_kernel_calls(monkeypatch):
+    """500 seeded curvature-binding rows, one at a time, reach the plain
+    bisection's bit (to tol = 0) in at most 6 kernel calls in the median
+    and 16 at most, the ceiling test included; a bisection one level a
+    call would take about 55."""
+    calls = []
+    penalty = bounds._penalty
+
+    def counted(*args):
+        calls.append(1)
+        return penalty(*args)
+
+    monkeypatch.setattr(bounds, "_penalty", counted)
+    rng = np.random.default_rng(17)
+    counts = []
+    while len(counts) < 500:
+        consts = make_consts(alpha=rng.uniform(0.05, 3.0),
+                             mu_plus=rng.uniform(0.01, 5.0),
+                             sup_norm=rng.uniform(0.05, 4.0),
+                             rho=rng.uniform(0.05, 4.0))
+        calls.clear()
+        got = bound_positive(consts)
+        if got.binding == "curvature":
+            counts.append(len(calls))
+            assert got == sequential_bound_positive(consts)
+    assert np.median(counts) <= 6 and max(counts) <= 16
 
 
 BAD_POSITIVE_ROWS = [make_consts(rho=-1.0), make_consts(rho=0.0),

@@ -19,6 +19,7 @@ from odes import BatchVariationState, integrate_batch, metric_batch
 from oracles import (ck, coeff_jacobi_norm, jacobi_coeffs, jacobi_eval,
                      norm_diff, sk)
 
+import geostab.jacobi as jacobi
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import s2_field
 from geostab.jacobi import (
@@ -149,26 +150,39 @@ def test_series_kernels_against_mpmath():
         assert _sinhc_minus_one(u) == sh and _one_minus_sinc(u) == s, u
 
 
-def test_direct_form_is_evaluated_only_where_it_serves():
+def test_direct_form_is_evaluated_only_where_it_serves(monkeypatch):
     """The direct sinh(u)/u - 1 sees only the elements at or above
-    SERIES_KAPPA of a mixed array, and is not called for an array or a
-    scalar inside the series range; each element gives what it gives
-    alone."""
-    seen = []
+    SERIES_KAPPA of a mixed array, and the series only those below it;
+    neither is called for an array or a scalar wholly outside its range,
+    and each element gives what it gives alone."""
+    seen, series = [], []
+    even_series = jacobi._even_series
 
     def direct(x):
         seen.append(np.array(x, ndmin=1))
         return np.sinh(x) / x - 1.0
 
+    def counted_series(u2, coeffs):
+        series.append(np.array(u2, ndmin=1))
+        return even_series(u2, coeffs)
+
+    monkeypatch.setattr(jacobi, "_even_series", counted_series)
     us = np.concatenate([np.linspace(0.0, 3.0, 31), [300.0, -2.0, -0.5]])
     got = _series_or_direct(us, _SINHC_SERIES, direct)
     assert np.array_equal(np.concatenate(seen), us[np.abs(us) >= 1.0])
+    small = us[np.abs(us) < 1.0]
+    assert np.array_equal(np.concatenate(series), small * small)
     for u, g in zip(us.tolist(), got.tolist()):
         assert _series_or_direct(u, _SINHC_SERIES, direct) == g
     seen.clear()
     _series_or_direct(np.linspace(0.0, 0.9, 7), _SINHC_SERIES, direct)
     _series_or_direct(0.5, _SINHC_SERIES, direct)
     assert not seen
+    series.clear()
+    _series_or_direct(np.linspace(1.0, 9.0, 7), _SINHC_SERIES, direct)
+    _series_or_direct(1.0, _SINHC_SERIES, direct)
+    _series_or_direct(-4.0, _SINHC_SERIES, direct)
+    assert not series
 
 
 @pytest.mark.parametrize("sign", [POS, NEG], ids=["positive", "negative"])
