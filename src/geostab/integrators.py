@@ -7,7 +7,7 @@ field for arc parameter h.  The implicit step solves
 
 for the next point q = exp_p(v), with v in chart components at p.  The
 fixed point of v = G(v), where G(v) moves h * X|_q from q back to p by
-parallel transport along the connecting geodesic, is that solution.
+the endpoint parallel transport (``transport(w, p)``), is that solution.
 Plain iteration of G converges only while h * |grad X| < 1, the explicit
 step's own limit, so the step runs a simplified Newton iteration
 
@@ -15,8 +15,11 @@ step's own limit, so the step runs a simplified Newton iteration
 
 with A_p the covariant derivative matrix of X at p.  h * A_p is the
 derivative of G at v = 0, and I - h * A_p is inverted once per step (the
-frozen Jacobian of Hairer & Wanner, Solving ODEs II, IV.8).  Convergence
-is measured by the defect d(exp_q(-h*X|_q), p).
+frozen Jacobian of Hairer & Wanner, Solving ODEs II, IV.8).  Started at
+v = 0, the first iterate is the linearly implicit Euler step
+(I - h * A_p)^{-1} h X|_p, which stays in the half-plane chart where the
+explicit step did not.  Convergence is measured by the defect
+d(exp_q(-h*X|_q), p); the X|_q it evaluates also gives the next G(v).
 """
 
 import numpy as np
@@ -36,9 +39,9 @@ def gee_step(field: FieldModel, p: ChartPoint, h: float) -> ChartPoint:
     return model.exp(p, model.tangent(p, h * X.comps))
 
 
-def _gie_defect(field, q, h, p) -> float:
+def _gie_defect(field, q, X, h, p) -> float:
+    """d(exp_q(-h X), p), with X = X|_q already evaluated."""
     model = field.manifold
-    X = field.eval(q)
     back = model.exp(q, model.tangent(q, -h * X.comps))
     return model.distance(back, p)
 
@@ -46,38 +49,38 @@ def _gie_defect(field, q, h, p) -> float:
 def gie_step(field: FieldModel, p: ChartPoint, h: float) -> ChartPoint:
     """One implicit geodesic Euler step of size h from p.
 
-    Simplified Newton iteration on the step v at p, started from the
-    explicit step v = h * X|_p, with the Jacobian I - h * A_p frozen at
-    p.  Raises NonconvergenceError (carrying the final defect) when the
-    defect does not reach the fixed GIE_TOL within GIE_MAX_ITER
-    iterations, at once when I - h * A_p is singular, where neither this
-    iteration nor plain fixed-point iteration can converge, and when an
-    iterate (in iteration 0, the predictor) leaves the chart, with the
-    ChartExitError as its cause and the last defect (nan before any).
+    Simplified Newton iteration on the step v at p from v = 0, with the
+    Jacobian I - h * A_p frozen at p: iteration 0 gives the linearly
+    implicit step (I - h * A_p)^{-1} h X|_p.  X|_q is evaluated once per
+    iterate q, for its defect and, moved to p by ``transport``, the next
+    correction.  Raises NonconvergenceError with a defect: at once when
+    I - h * A_p is singular (neither this nor plain fixed-point iteration
+    can converge), with the defect d(exp_p(-h X|_p), p) of v = 0; when an
+    iterate leaves the chart, with the ChartExitError as its cause and the
+    last defect (nan in iteration 0); and with the final defect when
+    iterations 0 to GIE_MAX_ITER do not reach GIE_TOL.
     """
     model = field.manifold
     it, defect = 0, float("nan")
     try:
-        v = h * field.eval(p).comps
-        q = model.exp(p, model.tangent(p, v))
-        defect = _gie_defect(field, q, h, p)
-        if defect <= GIE_TOL:
-            return q
+        X = field.eval(p)
         try:
             inv = np.linalg.inv(np.eye(model.dim)
                                 - h * field.covariant_matrix(p))
         except np.linalg.LinAlgError:
+            defect = _gie_defect(field, p, X, h, p)
             raise NonconvergenceError(
                 f"implicit step from {p!r} with h = {h:.6g}: I - h * grad X "
-                f"is singular (defect {defect:.3e} after 0 iterations)",
+                f"is singular (defect {defect:.3e} at v = 0)",
                 defect=defect) from None
-        for it in range(1, GIE_MAX_ITER + 1):
-            X = field.eval(q)
-            moved = model.transport(model.tangent(q, h * X.comps),
-                                    model.log(q, p))
-            v = v - inv @ (v - moved.comps)
+        v = inv @ (h * X.comps)
+        for it in range(GIE_MAX_ITER + 1):
+            if it:
+                moved = model.transport(model.tangent(q, h * X.comps), p)
+                v = v - inv @ (v - moved.comps)
             q = model.exp(p, model.tangent(p, v))
-            defect = _gie_defect(field, q, h, p)
+            X = field.eval(q)
+            defect = _gie_defect(field, q, X, h, p)
             if defect <= GIE_TOL:
                 return q
     except ChartExitError as exc:

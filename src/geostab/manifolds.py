@@ -159,8 +159,9 @@ class ManifoldModel:
     def distance(self, p: ChartPoint, q: ChartPoint) -> float:
         raise NotImplementedError
 
-    def transport(self, v: TangentVector, u: TangentVector, t: float = 1.0) -> TangentVector:
-        """Parallel transport of v along the geodesic s -> exp(p, s*u) to s=t."""
+    def transport(self, v: TangentVector, q: ChartPoint) -> TangentVector:
+        """Parallel transport of v along the minimizing geodesic from
+        v.base to q, based at q itself."""
         raise NotImplementedError
 
     # -- frames ----------------------------------------------------------------
@@ -250,19 +251,22 @@ class _EmbeddedSphere(ManifoldModel):
             raise GeostabError("log undefined near the antipodal point")
         return self.tangent(p, self.pull(p, (d / nT) * T))
 
-    def transport(self, v, u, t=1.0):
+    def transport(self, v, q):
+        """The rotation in the plane of the embedded points that takes
+        v.base to q, applied to v."""
         p = v.base
-        s = self.norm(u)
-        if s == 0.0:
-            return v
-        P = self.embed(p)
-        U = self.push(p, u.comps) / s
+        P, Q = self.embed(p), self.embed(q)
         W = self.push(p, v.comps)
-        a = W @ U
-        perp = W - a * U
-        st, ct = np.sin(s * t), np.cos(s * t)
-        Wt = a * (ct * U - st * P) + perp
-        q = self.exp(p, self.tangent(p, t * u.comps))
+        c = P @ Q
+        T = Q - c * P
+        nT = np.linalg.norm(T)
+        if nT < 1e-14:
+            if c < 0.0:
+                raise GeostabError("transport undefined near the antipodal point")
+            return TangentVector(q, self.pull(q, W))
+        U = T / nT
+        ang = math.atan2(nT, c)
+        Wt = W + (W @ U) * ((math.cos(ang) - 1.0) * U - math.sin(ang) * P)
         return TangentVector(q, self.pull(q, Wt))
 
 
@@ -434,27 +438,17 @@ class HalfPlane(ManifoldModel):
                 -si / ry,
                 co / ry)
 
-    def _flow(self, p, v, t):
-        """Unit-speed geodesic position and velocity at arc length t >= 0.
-
-        May return non-finite values once t exceeds the representable
-        range; callers validate and raise ChartExitError.
-        """
-        a, b, c, d = self._mobius(p, v)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e2 = np.exp(-2.0 * t)
-            den = c * c + d * d * e2
-            x = (a * c + b * d * e2) / den
-            y = np.exp(-t) / den
-            dx = 2.0 * c * d * e2 / den ** 2
-            dy = np.exp(-t) * (d * d * e2 - c * c) / den ** 2
-        return x, y, dx, dy
-
     def exp(self, p, v):
         s = self.norm(v)
         if s == 0.0:
             return p
-        x, y, _, _ = self._flow(p, v, s)
+        a, b, c, d = self._mobius(p, v)
+        # non-finite once s exceeds the representable range
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e2 = np.exp(-2.0 * s)
+            den = c * c + d * d * e2
+            x = (a * c + b * d * e2) / den
+            y = np.exp(-s) / den
         if not (np.isfinite(x) and np.isfinite(y) and y > 0.0):
             raise ChartExitError(
                 f"h2: geodesic left the representable chart at arc length {s:.3e}",
@@ -487,25 +481,26 @@ class HalfPlane(ManifoldModel):
         unit = sgn * (y0 / r) * np.array([-y0, x0c])
         return self.tangent(p, d * unit)
 
-    def transport(self, v, u, t=1.0):
-        p = v.base
-        s = self.norm(u)
-        if s == 0.0:
-            return v
-        e1 = u.comps / s
-        n = np.array([-e1[1], e1[0]])
-        g = self.metric(p)
-        al = float(v.comps @ g @ e1)
-        be = float(v.comps @ g @ n)
-        x, y, dx, dy = self._flow(p, u, s * t)
-        if not (np.isfinite(x) and np.isfinite(y) and y > 0.0):
-            raise ChartExitError(
-                f"h2: transport left the representable chart at arc length {s * t:.3e}",
-                parameter=s * t)
-        q = self.point([x, y])
-        e1t = np.array([dx, dy])
-        nt = np.array([-dy, dx])
-        return TangentVector(q, al * e1t + be * nt)
+    def transport(self, v, q):
+        """v turned as the geodesic's tangent turns from v.base to q, and
+        scaled by y_q / y_base (the metric is conformal).  The tangent turns
+        as the radius from the geodesic's center does, by arg(b conj(a))
+        for the radii a, b of the two ends, here taken times 2 dx."""
+        x0, y0 = v.base.coords.tolist()
+        x1, y1 = q.coords.tolist()
+        # an isometric dilation to coordinates <= 1 keeps the squares finite
+        s = max(abs(x1 - x0), y0, y1)
+        dx, y0s, y1s = (x1 - x0) / s, y0 / s, y1 / s
+        dx2, A = dx * dx, (y1s - y0s) * (y1s + y0s)
+        dot = 4.0 * dx2 * y0s * y1s - (dx2 + A) * (dx2 - A)
+        cross = -2.0 * dx * (dx2 * (y0s + y1s) + A * (y1s - y0s))
+        r = math.hypot(dot, cross)
+        if r == 0.0:
+            return TangentVector(q, v.comps)
+        k = y1 / y0 / r
+        w0, w1 = v.comps
+        return TangentVector(q, np.array([k * (dot * w0 - cross * w1),
+                                          k * (cross * w0 + dot * w1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +535,7 @@ class Euclidean(ManifoldModel):
     def distance(self, p, q):
         return float(np.linalg.norm(q.coords - p.coords))
 
-    def transport(self, v, u, t=1.0):
-        q = self.point(v.base.coords + t * u.comps)
+    def transport(self, v, q):
         return TangentVector(q, v.comps)
 
 

@@ -290,14 +290,14 @@ def fixed_point_gie_step(field, p, h, tol=GIE_TOL, max_iter=GIE_MAX_ITER):
     step, with the same defect test as ``gie_step``."""
     model = field.manifold
     q = gee_step(field, p, h)
-    defect = _gie_defect(field, q, h, p)
+    X = field.eval(q)
+    defect = _gie_defect(field, q, X, h, p)
     for _ in range(max_iter):
         if defect <= tol:
             return q
+        q = model.exp(p, model.transport(model.tangent(q, h * X.comps), p))
         X = field.eval(q)
-        moved = model.transport(model.tangent(q, h * X.comps), model.log(q, p))
-        q = model.exp(p, moved)
-        defect = _gie_defect(field, q, h, p)
+        defect = _gie_defect(field, q, X, h, p)
     if defect <= tol:
         return q
     raise NonconvergenceError(

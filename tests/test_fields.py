@@ -117,8 +117,8 @@ def covariant_fd(field, p, v, t=1e-5):
     m = field.manifold
     qp = m.exp(p, m.tangent(p, t * v.comps))
     qm = m.exp(p, m.tangent(p, -t * v.comps))
-    back_p = m.transport(field.eval(qp), m.log(qp, p))
-    back_m = m.transport(field.eval(qm), m.log(qm, p))
+    back_p = m.transport(field.eval(qp), p)
+    back_m = m.transport(field.eval(qm), p)
     return (back_p.comps - back_m.comps) / (2.0 * t)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import root
 
 from geostab import integrators
 from geostab.errors import ChartExitError, GeostabError, NonconvergenceError
@@ -137,12 +138,16 @@ def test_gie_step_stiff_rotation_is_resolvent():
 
 def test_gie_step_singular_jacobian_raises_nonconvergence():
     """I - h * grad X = diag(0, 1.5) is singular: no solution through p
-    exists, and the step says so instead of leaking a LinAlgError."""
+    exists, and the step says so instead of leaking a LinAlgError.  The
+    error carries the defect of the start v = 0, d(exp_p(-h X|_p), p)."""
     field = linear_field(EUCLID2, np.diag([2.0, -1.0]))
     p = EUCLID2.point([1.0, 0.0])
     with pytest.raises(NonconvergenceError) as info:
         gie_step(field, p, 0.5)
     assert info.value.defect > GIE_TOL
+    back = EUCLID2.exp(p, EUCLID2.tangent(p, -0.5 * field.eval(p).comps))
+    assert info.value.defect == EUCLID2.distance(back, p)
+    assert "at v = 0" in str(info.value)
 
 
 def test_gie_step_nonconvergence_reports_defect():
@@ -190,12 +195,14 @@ def test_gie_step_never_fails_along_a_trajectory_into_the_pole(name, base):
         gie_step(field, q, h)
 
 
-@pytest.mark.parametrize("eps, coords, h", [(0.5, (0.0, 1.0), 3.0),
-                                             (1.0, (0.0, 0.3), 1.0)])
+@pytest.mark.parametrize("eps, coords, h", [(-2.0, (0.0, 1.0), 0.5),
+                                             (-2.0, (0.0, 3.0), 1.0)])
 def test_gie_step_chart_exit_is_nonconvergence(eps, coords, h):
     """A Newton iterate that leaves the half-plane chart ends the step
     with NonconvergenceError, caused by the ChartExitError, naming the
-    point, h and the iteration, and carrying the last finite defect."""
+    point, h and the iteration, and carrying the last finite defect.
+    The field (1, -2) pushes the iterates toward y = 0; they leave the
+    chart in iterations 3 and 4, at defects of about 36 and 47."""
     field = h2_field(eps)
     p = HALF_PLANE.point(coords)
     with pytest.raises(NonconvergenceError) as info:
@@ -208,17 +215,55 @@ def test_gie_step_chart_exit_is_nonconvergence(eps, coords, h):
 
 
 def test_gie_step_chart_exit_of_the_predictor_is_nonconvergence():
-    """The backward step from the explicit predictor can leave the chart
-    before any Newton iteration (h2 at (0, 1), h = 8: at arc length
-    1.4e5); that is iteration 0, with no defect computed yet."""
+    """The first iterate, the linearly implicit step, can leave the chart
+    before any defect is computed (h2-singular at (0, 1), h = 800: the
+    step up the vertical geodesic has arc length 800); that is
+    iteration 0, with no defect computed yet."""
     p = HALF_PLANE.point((0.0, 1.0))
     with pytest.raises(NonconvergenceError) as info:
-        gie_step(h2_field(1.0), p, 8.0)
+        gie_step(h2_singular_field(), p, 800.0)
     assert isinstance(info.value.__cause__, ChartExitError)
     assert math.isnan(info.value.defect)
     message = str(info.value)
-    assert repr(p) in message and "h = 8" in message
+    assert repr(p) in message and "h = 800" in message
     assert "in iteration 0 " in message
+
+
+@pytest.mark.parametrize("eps, coords, h", [(0.5, (0.0, 1.0), 3.0),
+                                             (1.0, (0.0, 0.3), 1.0),
+                                             (1.0, (0.0, 1.0), 8.0)])
+def test_gie_step_converges_where_the_explicit_start_left_the_chart(
+        eps, coords, h):
+    """Started from the explicit step, these half-plane steps left the
+    chart; started from v = 0, where the first iterate is the linearly
+    implicit step, they converge to GIE_TOL.  They land where scipy's
+    root finder, started at p on the implicit equation in (x, log y),
+    lands, and on the plain fixed-point solution wherever that converges
+    (it leaves the chart on all three)."""
+    field = h2_field(eps)
+    p = HALF_PLANE.point(coords)
+    q = gie_step(field, p, h)
+
+    def back(z):
+        b = HALF_PLANE.point([z[0], math.exp(z[1])])
+        return HALF_PLANE.exp(b, HALF_PLANE.tangent(b, -h * field.eval(b).comps))
+
+    assert HALF_PLANE.distance(back((q.coords[0], math.log(q.coords[1]))),
+                               p) <= GIE_TOL
+    start = np.array([p.coords[0], math.log(p.coords[1])])
+
+    def residual(z):
+        b = back(z)
+        return np.array([b.coords[0], math.log(b.coords[1])]) - start
+
+    z = root(residual, start, tol=1e-14).x
+    assert HALF_PLANE.distance(q, HALF_PLANE.point([z[0], math.exp(z[1])])) \
+        <= 1e-10
+    try:
+        reference = fixed_point_gie_step(field, p, h)
+    except GeostabError:
+        return
+    assert HALF_PLANE.distance(q, reference) <= 1e-10
 
 
 def test_gie_step_fails_only_by_nonconvergence_on_the_table_grids():
@@ -244,7 +289,9 @@ def test_gie_step_converges_in_few_defect_evaluations(monkeypatch):
     """At each family's default base point, for every epsilon and every
     step up to the certified one, the step converges within 25 defect
     evaluations (plain fixed-point iteration fails 6 of these 27 and
-    needs up to 165 on the others)."""
+    needs up to 165 on the others).  The 27 steps take 282 defect
+    evaluations in all (301 when the iteration started from the explicit
+    step)."""
     calls = []
     defect = integrators._gie_defect
 
@@ -260,9 +307,45 @@ def test_gie_step_converges_in_few_defect_evaluations(monkeypatch):
             field = family.make_field(eps)
             h_cert = theory_bound(name, eps, p).h_max
             for fraction in (0.3, 0.5, 1.0):
-                calls.clear()
+                before = len(calls)
                 gie_step(field, p, fraction * h_cert)
-                assert len(calls) <= 25, (name, eps, fraction, len(calls))
+                n = len(calls) - before
+                assert n <= 25, (name, eps, fraction, n)
+    assert len(calls) == 282
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_gie_step_chart_calls_per_correction(name, monkeypatch):
+    """With n defect evaluations, one per iterate, a step makes n + 1
+    field evaluations (X|_p and one per iterate), n - 1 transports (the
+    first iterate needs none), 2 n exps, n distances and no log: after
+    the first iterate each correction costs one eval, one transport, two
+    exps and one distance."""
+    family = get_example(name)
+    model = family.manifold
+    field = family.make_field(1.0)
+    p = model.point(family.to_coords(*family.default_base))
+    h = 0.5 * theory_bound(name, 1.0, p).h_max
+    counts = {}
+
+    def count(owner, attr):
+        inner = getattr(owner, attr)
+
+        def counted(*args):
+            counts[attr] = counts.get(attr, 0) + 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for attr in ("exp", "log", "distance", "transport"):
+        count(model, attr)
+    count(field, "eval")
+    count(integrators, "_gie_defect")
+    gie_step(field, p, h)
+    n = counts["_gie_defect"]
+    assert n >= 3
+    assert counts == {"_gie_defect": n, "eval": n + 1, "transport": n - 1,
+                      "exp": 2 * n, "distance": n}
 
 
 # chart boxes at least 1e-2 from every chart pole, on the side of the

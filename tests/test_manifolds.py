@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import random_points, random_tangent
-from odes import (christoffel_batch, geodesic_flow, metric_batch,
-                  transport_flow)
+from odes import (BatchVariationState, christoffel_batch, geodesic_flow,
+                  integrate_batch, metric_batch, transport_flow)
 from oracles import frame_vectors, geodesic
 
 from geostab.errors import (
@@ -317,10 +317,71 @@ def test_transport_matches_ode(model, rng):
     for p in random_points(model, rng, 3):
         u = random_tangent(model, p, rng, scale=0.9)
         v = random_tangent(model, p, rng, scale=1.3)
-        w_closed = model.transport(v, u)
+        w_closed = model.transport(v, model.exp(p, u))
         w_ode = transport_flow(model, v, u, t=1.0, step=1e-3)
         assert model.distance(w_closed.base, w_ode.base) < 1e-8
         assert np.allclose(w_closed.comps, w_ode.comps, atol=1e-7)
+
+
+def _pole_gap(model, c):
+    """Chart distance of coordinates c from the sphere chart's poles."""
+    if model is SPHERE2:
+        return math.pi / 2 - abs(c[0])
+    if model is SPHERE3:
+        return min(c[0], math.pi - c[0], c[1], math.pi - c[1])
+    return math.inf
+
+
+def _transport_pairs(model, rng):
+    """Pairs (p, q) at distances up to 3, on geodesics that keep 0.2 from
+    the sphere charts' poles (where the chart ODE is stiff), and on the
+    half-plane also pairs with |dx| <= 1e-9, next to and on a vertical
+    geodesic."""
+    pairs = []
+    for p in random_points(model, rng, 4):
+        for scale in (0.05, 1.0, 2.0, 3.0):
+            while True:
+                u = random_tangent(model, p, rng, scale=scale)
+                path = [model.exp(p, model.tangent(p, s * u.comps))
+                        for s in np.linspace(0.0, 1.0, 61)]
+                if min(_pole_gap(model, x.coords) for x in path) > 0.2:
+                    break
+            pairs.append((p, path[-1]))
+    if model is HALF_PLANE:
+        for dx, y1 in ((1e-9, 2.1), (-1e-9, 0.3), (1e-12, 0.7), (0.0, 4.0)):
+            pairs.append((HALF_PLANE.point([0.3, 0.7]),
+                          HALF_PLANE.point([0.3 + dx, y1])))
+    return pairs
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_endpoint_transport_matches_ode_along_log(model, rng):
+    """transport(v, q) equals v carried along s -> exp(p, s log(p, q))
+    by the chart ODE, one batch of geodesics per model."""
+    pairs = _transport_pairs(model, rng)
+    vs = [random_tangent(model, p, rng, scale=1.2) for p, _ in pairs]
+    state = BatchVariationState(
+        np.array([p.coords for p, _ in pairs]),
+        np.array([model.log(p, q).comps for p, q in pairs]),
+        np.array([v.comps for v in vs])[:, :, None])
+    out = integrate_batch(model, state, 1.0, step=1e-3)
+    for (p, q), v, end, col in zip(pairs, vs, out.coords, out.cols[:, :, 0]):
+        w = model.transport(v, q)
+        assert w.base is q
+        assert model.distance(q, model.point(end)) < 1e-8
+        scale = q.coords[1] if model is HALF_PLANE else 1.0
+        assert np.allclose(w.comps, col, rtol=0.0, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("model", [SPHERE2, SPHERE3], ids=lambda m: m.name)
+def test_sphere_transport_to_the_antipode_raises(model):
+    p = model.point([0.4, 1.1] if model is SPHERE2 else [0.4, 1.1, 0.2])
+    P = model.embed(p)
+    q = model.point(model.unembed(-P))
+    assert model.distance(p, q) > math.pi - 1e-7
+    v = model.tangent(p, np.ones(model.dim))
+    with pytest.raises(GeostabError, match="antipodal"):
+        model.transport(v, q)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
@@ -330,8 +391,9 @@ def test_transport_preserves_inner_products(model, rng):
     v = random_tangent(model, p, rng, scale=0.8)
     w = random_tangent(model, p, rng, scale=1.5)
     before = model.inner(v, w)
-    vt = model.transport(v, u)
-    wt = model.transport(w, u)
+    q = model.exp(p, u)
+    vt = model.transport(v, q)
+    wt = model.transport(w, q)
     assert abs(model.inner(vt, wt) - before) < 1e-10
 
 
@@ -341,8 +403,8 @@ def test_transport_base_point_and_partial_time(model, rng):
     u = random_tangent(model, p, rng, scale=1.2)
     v = random_tangent(model, p, rng, scale=0.5)
     t = 0.37
-    w = model.transport(v, u, t=t)
     q = model.exp(p, model.tangent(p, t * u.comps))
+    w = model.transport(v, q)
     assert model.distance(w.base, q) < 1e-10
     assert abs(w.norm() - 0.5) < 1e-10
 
@@ -350,7 +412,7 @@ def test_transport_base_point_and_partial_time(model, rng):
 def test_transport_along_zero_vector_is_identity():
     p = HALF_PLANE.point([0.2, 1.5])
     v = HALF_PLANE.tangent(p, [0.3, -0.4])
-    w = HALF_PLANE.transport(v, HALF_PLANE.zero_vector(p))
+    w = HALF_PLANE.transport(v, HALF_PLANE.exp(p, HALF_PLANE.zero_vector(p)))
     assert np.allclose(w.comps, v.comps)
     assert w.base is p or HALF_PLANE.distance(w.base, p) == 0.0
 
@@ -361,7 +423,7 @@ def test_sphere_transport_around_pole_rotates():
     p = SPHERE2.point([0.0, 0.0])
     u = SPHERE2.tangent(p, [0.0, 1.0])
     v = SPHERE2.tangent(p, [1.0, 0.0])
-    w = SPHERE2.transport(v, u, t=1.0)
+    w = SPHERE2.transport(v, SPHERE2.exp(p, u))
     assert abs(w.norm() - 1.0) < 1e-12
 
 
@@ -379,12 +441,21 @@ def test_half_plane_exp_chart_exit_has_parameter():
     assert info.value.parameter > 700.0
 
 
-def test_half_plane_transport_chart_exit():
+def test_half_plane_transport_to_a_far_point():
+    """The endpoint transport follows no geodesic flow, so it cannot leave
+    the chart: from (0, 1) down to (0, 1e-300), about 690 away, it lands
+    on q and keeps the g-norm, with no floating-point warning.  (g-norms
+    are taken as |comps| / y, since the metric 1/y^2 overflows at q.)"""
     p = HALF_PLANE.point([0.0, 1.0])
-    v = HALF_PLANE.tangent(p, [1.0, 0.0])
-    u = HALF_PLANE.tangent(p, [0.0, -900.0])
-    with pytest.raises(ChartExitError):
-        HALF_PLANE.transport(v, u)
+    q = HALF_PLANE.point([0.0, 1e-300])
+    v = HALF_PLANE.tangent(p, [1.0, -0.5])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        w = HALF_PLANE.transport(v, q)
+        assert 690.0 < HALF_PLANE.distance(p, q) < 691.0
+    assert w.base is q
+    before = math.hypot(*v.comps) / p.coords[1]
+    assert abs(math.hypot(*w.comps) / q.coords[1] - before) <= 1e-12 * before
 
 
 def test_half_plane_exp_stays_in_chart_for_moderate_steps(rng):
@@ -455,6 +526,6 @@ def test_euclidean_operations_are_affine():
     assert np.allclose(q.coords, [1.25, -1.0, -1.0])
     assert np.allclose(e3.log(p, q).comps, v.comps)
     assert abs(e3.distance(p, q) - np.linalg.norm(v.comps)) < 1e-15
-    moved = e3.transport(v, v, t=2.0)
+    moved = e3.transport(v, e3.exp(p, e3.tangent(p, 2.0 * v.comps)))
     assert np.allclose(moved.comps, v.comps)
     assert np.allclose(moved.base.coords, p.coords + 2.0 * v.comps)
