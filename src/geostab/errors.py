@@ -29,11 +29,6 @@ class StationaryPointError(GeostabError):
     frame or curvature scale exists there."""
 
 
-class SingularConnectionError(GeostabError):
-    """The covariant derivative matrix is singular where an invertible one
-    is required.  Use the singular-kernel bound instead."""
-
-
 class NoFiniteAlphaError(GeostabError):
     """No finite cocoercivity constant exists: the range of the covariant
     derivative is not orthogonal to its kernel."""

@@ -15,12 +15,12 @@ direction, the largest eigenvalue of the step-variation form), the
 certified step of the matching rule from pointwise
 constants, and CSV comparison tables over parameter grids.
 
-A table is computed in stacks: the chart data of its rows feed one
-constants pass per epsilon (``constants._constant_rows``), one
-``_sweep_stack`` call builds the step-variation data of every row from
-the same data, and one lockstep search (``_lockstep_hmax``) finds every
-row's empirical step; ``numerical_hmax`` is that search on a one-row
-stack.
+A table is computed in stacks, and every row takes the same path: the
+chart data of its rows feed one stacked constants pass per epsilon
+(``constants._constant_rows``), one ``_sweep_stack`` call builds the
+frames and step-variation data of every row from the same data, and one
+lockstep search (``_lockstep_hmax``) finds every row's empirical step;
+``numerical_hmax`` is that search on a one-row stack.
 """
 
 import math
@@ -32,15 +32,15 @@ import numpy as np
 
 from .bounds import (BoundResult, _bisect_rows, _positive_rows,
                      bound_negative, bound_singular)
-from .constants import _aggregate, _constant_rows, _g_norm
+from .constants import _aggregate, _constant_rows, _norms
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
 from .integrators import expansivity_ratio, gee_step
 from .jacobi import (_T, CurvatureSign, curvature_sign, gee_jacobi_data,
                      jacobi_norm, variation_form)
-from .manifolds import (DEGENERATE_NORM, HALF_PLANE, SPHERE2, SPHERE3,
-                        ChartPoint, ManifoldModel)
+from .manifolds import (HALF_PLANE, SPHERE2, SPHERE3, ChartPoint,
+                        ManifoldModel, _frames, _g_norm)
 
 CSV_HEADER = "example,epsilon,base1,base2,h_numeric,h_theory,kappa_at_h,binding"
 
@@ -201,54 +201,21 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _quad(v, g, w):
-    """v·g·w at each row of stacks v, g, w, each product with the bits of
-    the one-point v @ g @ w."""
-    return (v[:, None, :] @ g @ w[:, :, None])[:, 0, 0]
-
-
-def _norms(M):
-    """np.linalg.norm of each matrix of a stack, with its bits."""
-    flat = M.reshape(len(M), 1, -1)
-    return np.sqrt((flat @ _T(flat))[:, 0, 0])
-
-
 def _sweep_stack(manifold: ManifoldModel, points, x_norm, g, A, X):
     """(N, scale) of the step-variation form at every row of a table,
-    from the stacks of the rows' |X| (X nonzero) and chart data g, A, X.
+    from the stacks of the rows' |X| and chart data g, A, X (the rows'
+    chart points are not read).
 
     Works in frame coefficients: with E the g-orthonormal frame at p led
-    by X (ManifoldModel.frame), a unit direction ξ has the variation with
-    initial value ξ and initial derivative h N ξ, N = Eᵀ g A E, so its
-    squared-norm change is Δ(h, ξ) = ξᵀ M(h) ξ with M(h) =
-    variation_form(I, h N, h * scale), scale = |X| √|ρ|.  The frames are
-    built for all rows at once, with the bits of ManifoldModel.frame;
-    rows off that plain path (|X| below DEGENERATE_NORM or not finite, a
-    Gram–Schmidt candidate below 1e-10) call frame at their point, in
-    order, so its exceptions come where they did.
+    by X, a unit direction ξ has the variation with initial value ξ and
+    initial derivative h N ξ, N = Eᵀ g A E, so its squared-norm change is
+    Δ(h, ξ) = ξᵀ M(h) ξ with M(h) = variation_form(I, h N, h * scale),
+    scale = |X| √|ρ|.  One manifolds._frames call builds the frames of
+    all rows and raises DegenerateDirectionError at the first row that
+    has none.
     """
     x_norm, g, A, X = (np.asarray(a, dtype=float) for a in (x_norm, g, A, X))
-    n, dim = X.shape
-    plain = (x_norm >= DEGENERATE_NORM) & np.isfinite(x_norm)
-    with np.errstate(divide="ignore", invalid="ignore"):  # off-path rows
-        cols = [X / x_norm[:, None]]
-        if dim == 2:
-            w = (g @ cols[0][:, :, None])[:, :, 0]
-            e2 = np.column_stack([-w[:, 1], w[:, 0]])
-            cols.append(e2 / np.sqrt(_quad(e2, g, e2))[:, None])
-        else:
-            for k in range(dim - 1):
-                cand = np.zeros((n, dim))
-                cand[:, k] = 1.0
-                for e in cols:
-                    cand = cand - _quad(cand, g, e)[:, None] * e
-                nn = np.sqrt(np.maximum(_quad(cand, g, cand), 0.0))
-                plain &= nn >= 1e-10
-                cols.append(cand / nn[:, None])
-    E = np.stack(cols, axis=2)
-    for i in np.flatnonzero(~plain):
-        E[i] = manifold.frame(points[i], manifold.tangent(points[i],
-                                                          X[i])).matrix
+    dim, E = X.shape[1], _frames(g, X, x_norm)
     N = _T(E) @ g @ A @ E
     scale = x_norm * math.sqrt(abs(manifold.rho))
     # Structural zeros of the variation blocks.  On the negative branch

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeostabError
-from .manifolds import ChartPoint, TangentVector
+from .manifolds import ChartPoint, TangentVector, _frames, _g_norm
 
 # Below SERIES_KAPPA the direct sinh(u)/u - 1 and 1 - sin(u)/u cancel
 # (a relative error of 1e-16 / u^2); their series, cut after u^18, are
@@ -204,11 +204,13 @@ def variation_data(v: TangentVector, w: TangentVector,
     rate w at t = 0, along the geodesic with initial velocity u."""
     base = _check_shared_base(v, w, u)
     model = base.model
-    frame = model.frame(base, u)  # raises on degenerate u
     g = model.metric(base)
-    a = frame.matrix.T @ g @ v.comps
-    b = frame.matrix.T @ g @ w.comps
-    kappa = float(np.sqrt(abs(model.rho)) * model.norm(u))
+    norm = _g_norm(g, u.comps)
+    # the frame of ManifoldModel.frame, which raises on a degenerate u
+    E = _frames(g[None], u.comps[None], np.array([norm]))[0]
+    a = E.T @ g @ v.comps
+    b = E.T @ g @ w.comps
+    kappa = float(np.sqrt(abs(model.rho)) * norm)
     return JacobiData(a, b, kappa, curvature_sign(model.rho))
 
 

@@ -167,40 +167,66 @@ class ManifoldModel:
     # -- frames ----------------------------------------------------------------
 
     def frame(self, p: ChartPoint, first: TangentVector) -> Frame:
-        """g-orthonormal frame whose first vector is first/|first|.
-
-        In dimension two the second vector is the g-rotation of the first
-        by +90 degrees, which fixes the orientation deterministically; in
-        higher dimension the basis is completed by Gram-Schmidt over the
-        chart directions.
-        """
+        """g-orthonormal frame whose first vector is first/|first|: the
+        one-row call of _frames."""
         g = self.metric(p)
-        n0 = float(np.sqrt(max(first.comps @ g @ first.comps, 0.0)))
-        if n0 < DEGENERATE_NORM:
-            raise DegenerateDirectionError(
-                f"cannot normalize direction with norm {n0:.3e}")
-        e1 = first.comps / n0
-        cols = [e1]
-        if self.dim == 2:
-            w = g @ e1
-            e2 = np.array([-w[1], w[0]])
-            e2 = e2 / np.sqrt(e2 @ g @ e2)
-            cols.append(e2)
-        else:
-            for k in range(self.dim):
-                cand = np.zeros(self.dim)
-                cand[k] = 1.0
-                for e in cols:
-                    cand = cand - (cand @ g @ e) * e
-                nn = float(np.sqrt(max(cand @ g @ cand, 0.0)))
-                if nn < 1e-10:
-                    continue
-                cols.append(cand / nn)
-                if len(cols) == self.dim:
-                    break
-            if len(cols) != self.dim:
-                raise DegenerateDirectionError("failed to complete frame")
-        return Frame(p, np.column_stack(cols))
+        return Frame(p, _frames(g[None], first.comps[None],
+                                np.array([_g_norm(g, first.comps)]))[0])
+
+
+def _g_norm(g, x) -> float:
+    """|x| in the metric g, with the bits of ManifoldModel.norm."""
+    return float(np.sqrt(max(x @ g @ x, 0.0)))
+
+
+def _quad(v, g, w):
+    """v·g·w at each row of stacks v, g, w, each product with the bits of
+    the one-point v @ g @ w."""
+    return (v[:, None, :] @ g @ w[:, :, None])[:, 0, 0]
+
+
+def _frames(g, X, x_norm) -> np.ndarray:
+    """g-orthonormal frames (n, d, d), led by X/|X|, at the rows of the
+    stacks of metrics g, vectors X and their g-norms x_norm.
+
+    In dimension two the second vector is the g-rotation of the first
+    by +90 degrees, which fixes the orientation deterministically; in
+    higher dimension each row completes its basis by Gram-Schmidt over
+    the chart directions, skipping a candidate whose g-norm falls below
+    1e-10.  A row's frame has the bits of its one-row call.  Raises
+    DegenerateDirectionError at the first row whose |X| is below
+    DEGENERATE_NORM or whose basis stays incomplete.
+    """
+    n, dim = X.shape
+    # cols[j] holds the rows' j-th vectors and cols[dim] their skipped
+    # candidates; a column not filled yet is 0, and projecting a candidate
+    # (whose entries are never -0.0) on it changes none of its bits
+    cols, rows = np.zeros((dim + 1, n, dim)), np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows
+        cols[0] = X / x_norm[:, None]
+        if dim == 2:
+            w = (g @ cols[0][:, :, None])[:, :, 0]
+            e2 = np.column_stack([-w[:, 1], w[:, 0]])
+            cols[1] = e2 / np.sqrt(_quad(e2, g, e2))[:, None]
+        filled = np.full(n, 2 if dim == 2 else 1)
+        for k in range(dim):
+            if filled.min() == dim:
+                break
+            cand = np.zeros((n, dim))
+            cand[:, k] = 1.0
+            for e in cols[:k + 1]:
+                cand = cand - _quad(cand, g, e)[:, None] * e
+            nn = np.sqrt(np.maximum(_quad(cand, g, cand), 0.0))
+            slot = np.where((filled < dim) & ~(nn < 1e-10), filled, dim)
+            cols[slot, rows] = cand / nn[:, None]
+            filled += slot < dim
+    bad = (x_norm < DEGENERATE_NORM) | (filled < dim)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateDirectionError(
+            f"cannot normalize direction with norm {x_norm[i]:.3e}"
+            if x_norm[i] < DEGENERATE_NORM else "failed to complete frame")
+    return cols[:dim].transpose(1, 2, 0).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +501,10 @@ class HalfPlane(ManifoldModel):
         # geodesic circle centered at (c, 0); stable form of x0 - c
         x0c = -(dx * dx + (y1 * y1 - y0 * y0)) / (2.0 * dx)
         r = np.hypot(x0c, y0)
-        w0 = np.arctan2(y0, x0c)
-        w1 = np.arctan2(y1, x0c + dx)
-        sgn = np.sign(w1 - w0)
-        unit = sgn * (y0 / r) * np.array([-y0, x0c])
+        # the cross product of the radii to p and q is
+        # -(y0 + y1)(dx^2 + (y1 - y0)^2) / (2 dx): the geodesic turns
+        # clockwise exactly when q lies to the right of p
+        unit = -np.sign(dx) * (y0 / r) * np.array([-y0, x0c])
         return self.tangent(p, d * unit)
 
     def transport(self, v, q):

@@ -8,8 +8,10 @@ so far.  It can only approach the worst direction from below, so the
 exact largest eigenvalue must dominate it and agree with it closely.
 
 The point kernel builds the step-variation data of one point at a time,
-with a frame call and the structural-zero pinning on one matrix; the
-stacked kernels of ``geostab.experiments`` must equal it, bit for bit.
+with the per-point Gram-Schmidt frame (``sequential_frame``, also the
+reference for the stacked frames of ``geostab.manifolds``) and the
+structural-zero pinning on one matrix; the stacked kernels of
+``geostab.experiments`` must equal it, bit for bit.
 
 The sequential step search is the one-point search as a plain loop:
 scalar λ_max calls on the doubling bracket, then plain scalar bisection.
@@ -35,10 +37,13 @@ derivative along a vector and the norm change of one variation, and the
 variation field realised in a frame, and the reader that parses a
 figure CSV back into sweep rows.
 
-The sequential region constants are region_constants as a plain loop
-over the points, each through the per-point functions; the stacked pass
-of ``geostab.constants`` must give the same constants, bit for bit, and
-raise the same exceptions at the same points.
+The per-point constants functions (alpha_point, mu_plus_point,
+mu_minus_point, sigma_point and their row, _point_row) compute each
+constant at one point with its own LAPACK calls.  The sequential region
+constants are region_constants as a plain loop over the points, each
+through those functions; the stacked pass of ``geostab.constants`` must
+give the same constants, bit for bit, and raise the same exceptions at
+the same points.
 
 The logarithmic g-norm of the covariant derivative, the one-sided
 Lipschitz rate of the field, is checked against its closed forms; no
@@ -50,31 +55,68 @@ import math
 import numpy as np
 
 from geostab.bounds import BoundResult
-from geostab.constants import (RegionConstants, _g_norm, _whiten,
-                               alpha_point, mu_minus_point, mu_plus_point,
-                               sigma_point)
-from geostab.errors import (BracketError, GeostabError, NoBoundError,
+from geostab.constants import ORTHO_TOL, RANK_RTOL, RegionConstants
+from geostab.errors import (BracketError, DegenerateDirectionError,
+                            GeostabError, NoBoundError, NoFiniteAlphaError,
                             NonconvergenceError, NotCocoerciveError,
-                            SingularConnectionError)
+                            UnsupportedKernelError)
 from geostab.experiments import (ALIGN_TOL, CSV_HEADER, DEFAULT_H_CAP,
                                  DEFAULT_H_LO, SweepRow, _sweep_stack,
                                  unit_directions)
 from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
 from geostab.jacobi import (CurvatureSign, _one_minus_sinc, _sinhc_minus_one,
                             curvature_sign, variation_data, variation_form)
-from geostab.manifolds import TangentVector
+from geostab.manifolds import DEGENERATE_NORM, TangentVector, _g_norm
 
 DEFAULT_DIRS = {2: 512, 3: 2048}
 REFINE_POINTS = 17  # local grid points per axis, spacing width / 8
 MIN_WIDTH = 1e-7  # radians; Δ is quadratic in the angle near its max
 
 
+def sequential_frame(g, first):
+    """g-orthonormal frame (columns) whose first vector is first/|first|,
+    one point at a time: the reference for manifolds._frames.
+
+    In dimension two the second vector is the g-rotation of the first
+    by +90 degrees, which fixes the orientation deterministically; in
+    higher dimension the basis is completed by Gram-Schmidt over the
+    chart directions.
+    """
+    dim = len(first)
+    n0 = float(np.sqrt(max(first @ g @ first, 0.0)))
+    if n0 < DEGENERATE_NORM:
+        raise DegenerateDirectionError(
+            f"cannot normalize direction with norm {n0:.3e}")
+    e1 = first / n0
+    cols = [e1]
+    if dim == 2:
+        w = g @ e1
+        e2 = np.array([-w[1], w[0]])
+        e2 = e2 / np.sqrt(e2 @ g @ e2)
+        cols.append(e2)
+    else:
+        for k in range(dim):
+            cand = np.zeros(dim)
+            cand[k] = 1.0
+            for e in cols:
+                cand = cand - (cand @ g @ e) * e
+            nn = float(np.sqrt(max(cand @ g @ cand, 0.0)))
+            if nn < 1e-10:
+                continue
+            cols.append(cand / nn)
+            if len(cols) == dim:
+                break
+        if len(cols) != dim:
+            raise DegenerateDirectionError("failed to complete frame")
+    return np.column_stack(cols)
+
+
 def point_kernel(manifold, p, x_norm, g, A, X):
     """(N, scale) of the step-variation form at one point, the reference
     for the rows of ``_sweep_stack``: the frame E at p led by X from
-    ManifoldModel.frame, N = Eᵀ g A E and scale = |X| √|ρ|, with the
+    sequential_frame, N = Eᵀ g A E and scale = |X| √|ρ|, with the
     structural zeros of the negative branch pinned on this one matrix."""
-    E = manifold.frame(p, manifold.tangent(p, X)).matrix
+    E = sequential_frame(g, X)
     dim = manifold.dim
     N = E.T @ g @ A @ E
     scale = x_norm * math.sqrt(abs(manifold.rho))
@@ -431,6 +473,120 @@ def sequential_bound_positive(consts):
 
 
 # -- region constants --------------------------------------------------------
+
+
+class SingularConnectionError(GeostabError):
+    """The covariant derivative matrix is singular where an invertible one
+    is required: the per-point projection constants raise it, and
+    _point_row falls back to the singular-kernel constants on it."""
+
+
+def _metric_sqrt(g: np.ndarray):
+    """Symmetric square root of the metric and its inverse."""
+    g = np.asarray(g, dtype=float)
+    w, q = np.linalg.eigh(0.5 * (g + g.T))
+    if np.any(w <= 0):
+        raise GeostabError("metric matrix is not positive definite")
+    root = np.sqrt(w)
+    return (q * root) @ q.T, (q / root) @ q.T
+
+
+def _whiten(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    half, half_inv = _metric_sqrt(g)
+    return half @ np.asarray(A, dtype=float) @ half_inv
+
+
+def alpha_point(A: np.ndarray, g: np.ndarray) -> float:
+    """Best cocoercivity constant of A at a point, possibly <= 0.
+
+    A nonpositive value signals that the field is not cocoercive there;
+    callers aggregating over a region raise on that.  Returns math.inf
+    for A = 0 (the inequality is vacuous).  Raises NoFiniteAlphaError
+    when the range of A is not g-orthogonal to its kernel, in which case
+    no finite constant exists.
+    """
+    B = _whiten(A, g)
+    U, s, Vt = np.linalg.svd(B)
+    if s[0] <= 0.0:
+        return math.inf
+    r = int(np.sum(s > RANK_RTOL * s[0]))
+    Ur, Vr = U[:, :r], Vt[:r].T
+    if r < len(s):
+        null = Vt[r:].T  # kernel basis
+        if np.linalg.norm(Ur.T @ null) > ORTHO_TOL:
+            raise NoFiniteAlphaError(
+                "range and kernel of the covariant derivative are not "
+                "orthogonal; no finite cocoercivity constant exists")
+    N = (Ur.T @ Vr) / s[:r]
+    return -float(np.linalg.eigvalsh(0.5 * (N + N.T))[-1])
+
+
+def _mu_point(A, g, X, along_field: bool) -> float:
+    A, X = np.asarray(A, dtype=float), np.asarray(X, dtype=float)
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[0] <= 0.0 or s[-1] <= RANK_RTOL * s[0]:
+        raise SingularConnectionError(
+            "covariant derivative is singular; projection constant "
+            "undefined")
+    gX = np.asarray(g, dtype=float) @ X
+    nsq = float(X @ gX)
+    if nsq <= 1e-28:
+        raise DegenerateDirectionError(
+            "field direction vanishes; projection undefined")
+    P = np.outer(X, gX) / nsq
+    Q = P if along_field else np.eye(len(A)) - P
+    half, half_inv = _metric_sqrt(g)
+    M = -half @ Q @ np.linalg.solve(A, half_inv)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+
+
+def mu_plus_point(A: np.ndarray, g: np.ndarray, X: np.ndarray) -> float:
+    """Projection constant transverse to the field direction."""
+    return _mu_point(A, g, X, along_field=False)
+
+
+def mu_minus_point(A: np.ndarray, g: np.ndarray, X: np.ndarray) -> float:
+    """Projection constant along the field direction."""
+    return _mu_point(A, g, X, along_field=True)
+
+
+def sigma_point(A: np.ndarray, g: np.ndarray,
+                restrict_to_range: bool = False) -> float:
+    """Inverse bound 1/s_min of the whitened covariant derivative.
+
+    With restrict_to_range the smallest nonzero singular value is used,
+    which is the right notion when A is singular but the step analysis
+    only sees vectors in its range.  That reduction is only valid for a
+    one-dimensional kernel; larger kernels raise UnsupportedKernelError.
+    Returns math.inf when the relevant singular value vanishes.
+    """
+    B = _whiten(A, g)
+    s = np.linalg.svd(B, compute_uv=False)
+    if restrict_to_range:
+        nz = s[s > RANK_RTOL * s[0]] if s[0] > 0.0 else s[:0]
+        if len(s) - len(nz) > 1:
+            raise UnsupportedKernelError(
+                "restricted inverse bound needs a kernel of dimension "
+                f"at most 1, got {len(s) - len(nz)}")
+        if len(nz) == 0:
+            return math.inf
+        return float(1.0 / nz[-1])
+    if s[0] <= 0.0 or s[-1] <= RANK_RTOL * s[0]:
+        return math.inf
+    return float(1.0 / s[-1])
+
+
+def _point_row(g, A, X) -> tuple:
+    """(alpha, mu_plus, mu_minus, sigma) at one point from the per-point
+    functions; a non-cocoercive point stops at alpha."""
+    a = alpha_point(A, g)
+    if a <= 0.0:
+        return a, math.nan, math.nan, math.nan
+    try:
+        return (a, mu_plus_point(A, g, X), mu_minus_point(A, g, X),
+                sigma_point(A, g))
+    except SingularConnectionError:
+        return a, math.inf, math.inf, sigma_point(A, g, restrict_to_range=True)
 
 
 def log_g_norm(A: np.ndarray, g: np.ndarray) -> float:

@@ -26,28 +26,24 @@ from geostab.constants import (
     RegionConstants,
     _aggregate,
     _constant_rows,
-    _full_rank_rows,
-    _point_row,
-    alpha_point,
-    mu_minus_point,
-    mu_plus_point,
+    _stacked_rows,
     point_constants,
     region_constants,
-    sigma_point,
 )
 from geostab.errors import (
     DegenerateDirectionError,
     GeostabError,
     NoFiniteAlphaError,
     NotCocoerciveError,
-    SingularConnectionError,
     UnsupportedKernelError,
 )
 from geostab.experiments import get_example
 from geostab.fields import FieldModel
 from geostab.manifolds import HALF_PLANE, SPHERE2, Euclidean
 
-from oracles import log_g_norm, sequential_region_constants
+from oracles import (SingularConnectionError, _point_row, log_g_norm,
+                     mu_minus_point, mu_plus_point,
+                     sequential_region_constants, sigma_point)
 
 EUCLID2 = Euclidean(2)
 
@@ -129,39 +125,52 @@ def test_log_g_norm_sign_characterizes_contractivity(rng):
 # ---------------------------------------------------------------------------
 
 
+def one_row(A, g, X=None):
+    """The stacked pass on a one-row stack of A, g and X (default: the
+    first chart direction): the row's (alpha, mu_plus, mu_minus, sigma)
+    and its exception, None if it has none."""
+    X = np.eye(len(A))[0] if X is None else X
+    vals, errors = _stacked_rows(*(np.array([x], dtype=float)
+                                   for x in (g, A, X)))
+    return vals[0], errors.get(0)
+
+
+def stacked_alpha(A, g):
+    return one_row(A, g)[0][0]
+
+
 def test_alpha_scalar_matrices():
     g = random_spd(np.random.default_rng(3), 2)
-    assert abs(alpha_point(-np.eye(2), g) - 1.0) < 1e-12
-    assert abs(alpha_point(-2.0 * np.eye(2), g) - 0.5) < 1e-12
-    assert alpha_point(np.zeros((2, 2)), g) == math.inf
+    assert abs(stacked_alpha(-np.eye(2), g) - 1.0) < 1e-12
+    assert abs(stacked_alpha(-2.0 * np.eye(2), g) - 0.5) < 1e-12
+    assert stacked_alpha(np.zeros((2, 2)), g) == math.inf
 
 
 def test_alpha_expanding_matrix_is_negative():
-    assert abs(alpha_point(np.eye(2), np.eye(2)) + 1.0) < 1e-12
+    assert abs(stacked_alpha(np.eye(2), np.eye(2)) + 1.0) < 1e-12
 
 
 def test_alpha_scaling_law(rng):
     g = random_spd(rng, 3)
     A = random_cocoercive(rng, 3, g)
-    a = alpha_point(A, g)
-    assert abs(alpha_point(2.5 * A, g) - a / 2.5) < 1e-12 * a
+    a = stacked_alpha(A, g)
+    assert abs(stacked_alpha(2.5 * A, g) - a / 2.5) < 1e-12 * a
 
 
 def test_alpha_orthogonal_kernel_allowed():
-    assert abs(alpha_point(np.diag([-1.0, 0.0]), np.eye(2)) - 1.0) < 1e-12
+    assert abs(stacked_alpha(np.diag([-1.0, 0.0]), np.eye(2)) - 1.0) < 1e-12
 
 
 def test_alpha_skew_kernel_rejected():
     A = np.array([[-1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NoFiniteAlphaError):
-        alpha_point(A, np.eye(2))
+    assert isinstance(one_row(A, np.eye(2))[1], NoFiniteAlphaError)
 
 
 def test_alpha_matches_dense_sampling(rng):
     for _ in range(5):
         g = random_spd(rng, 2)
         A = random_cocoercive(rng, 2, g)
-        a = alpha_point(A, g)
+        a = stacked_alpha(A, g)
         brute = brute_alpha(A, g, n=20000)
         assert brute >= a - 1e-12
         assert brute <= a + 1e-4 * (1.0 + abs(a))
@@ -171,7 +180,7 @@ def test_alpha_inequality_holds_in_bulk(rng):
     """The defining inequality sampled over 1e5 directions."""
     g = random_spd(rng, 3)
     A = random_cocoercive(rng, 3, g)
-    a = alpha_point(A, g)
+    a = stacked_alpha(A, g)
     dirs = dense_directions(3, 100000, rng)
     Av = dirs @ A.T
     lhs = np.einsum("ij,jk,ik->i", Av, g, dirs)
@@ -183,7 +192,7 @@ def test_alpha_is_attained(rng):
     """Optimality: some direction must come close to equality."""
     g = random_spd(rng, 2)
     A = random_cocoercive(rng, 2, g)
-    a = alpha_point(A, g)
+    a = stacked_alpha(A, g)
     dirs = dense_directions(2, 20000)
     Av = dirs @ A.T
     lhs = np.einsum("ij,jk,ik->i", Av, g, dirs)
@@ -199,14 +208,14 @@ def test_alpha_invariant_under_whitening(rng):
     w, q = np.linalg.eigh(g)
     half = (q * np.sqrt(w)) @ q.T
     B = half @ A @ np.linalg.inv(half)
-    assert abs(alpha_point(A, g) - alpha_point(B, np.eye(2))) < 1e-11
+    assert abs(stacked_alpha(A, g) - stacked_alpha(B, np.eye(2))) < 1e-11
 
 
 def test_cocoercive_implies_nonpositive_log_norm(rng):
     for _ in range(8):
         g = random_spd(rng, 3)
         A = random_cocoercive(rng, 3, g)
-        if alpha_point(A, g) > 0.0:
+        if stacked_alpha(A, g) > 0.0:
             assert log_g_norm(A, g) <= 1e-12
 
 
@@ -216,7 +225,7 @@ def test_whitened_norm_bounded_by_inverse_alpha(rng):
     for _ in range(6):
         g = random_spd(rng, 3)
         A = random_cocoercive(rng, 3, g)
-        a = alpha_point(A, g)
+        a = stacked_alpha(A, g)
         w, q = np.linalg.eigh(g)
         half = (q * np.sqrt(w)) @ q.T
         B = half @ A @ ((q / np.sqrt(w)) @ q.T)
@@ -233,8 +242,8 @@ def test_mu_diagonal_example():
     A = np.diag([-0.5, -4.0])
     g = np.eye(2)
     X = np.array([1.0, 0.0])
-    assert abs(mu_minus_point(A, g, X) - 2.0) < 1e-13
-    assert abs(mu_plus_point(A, g, X) - 0.25) < 1e-13
+    assert abs(one_row(A, g, X)[0][2] - 2.0) < 1e-13
+    assert abs(one_row(A, g, X)[0][1] - 0.25) < 1e-13
 
 
 def brute_mu(A, g, X, along_field, n=20000):
@@ -251,19 +260,23 @@ def test_mu_matches_dense_sampling(rng):
         g = random_spd(rng, 2)
         A = random_cocoercive(rng, 2, g)
         X = rng.standard_normal(2)
-        for fn, along in ((mu_plus_point, False), (mu_minus_point, True)):
-            got = fn(A, g, X)
+        for col, along in ((1, False), (2, True)):
+            got = one_row(A, g, X)[0][col]
             brute = brute_mu(A, g, X, along)
             assert brute <= got + 1e-12
             assert brute >= got - 1e-4 * (1.0 + abs(got))
 
 
 def test_mu_raises_on_singular_matrix():
+    """The per-point oracle raises; the stacked pass reads the undefined
+    projection constants as inf and raises nothing."""
     A = np.diag([-1.0, 0.0])
     with pytest.raises(SingularConnectionError):
         mu_plus_point(A, np.eye(2), np.array([1.0, 0.0]))
     with pytest.raises(SingularConnectionError):
         mu_minus_point(A, np.eye(2), np.array([1.0, 0.0]))
+    vals, error = one_row(A, np.eye(2), np.array([1.0, 0.0]))
+    assert vals[1] == vals[2] == math.inf and error is None
 
 
 def test_mu_plus_dominates_alpha_on_sphere_example(rng):
@@ -274,7 +287,7 @@ def test_mu_plus_dominates_alpha_on_sphere_example(rng):
         g = SPHERE2.metric(p)
         A = field.covariant_matrix(p)
         X = field.eval(p).comps
-        assert mu_plus_point(A, g, X) >= alpha_point(A, g) - 1e-12
+        assert one_row(A, g, X)[0][1] >= stacked_alpha(A, g) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -284,41 +297,40 @@ def test_mu_plus_dominates_alpha_on_sphere_example(rng):
 
 def test_sigma_diagonal_example():
     A = np.diag([-2.0, -0.5])
-    assert abs(sigma_point(A, np.eye(2)) - 2.0) < 1e-14
+    assert abs(one_row(A, np.eye(2))[0][3] - 2.0) < 1e-14
 
 
 def test_sigma_matches_dense_sampling(rng):
     g = random_spd(rng, 2)
     A = random_cocoercive(rng, 2, g)
-    got = sigma_point(A, g)
+    got = one_row(A, g)[0][3]
     brute = brute_sigma(A, g, n=20000)
     assert brute <= got + 1e-12
     assert brute >= got - 1e-4 * got
 
 
 def test_sigma_singular_unrestricted_is_infinite():
+    """The flag of the per-point oracle; the stacked pass restricts
+    sigma to the range exactly where A is singular."""
     assert sigma_point(np.diag([-1.0, 0.0]), np.eye(2)) == math.inf
     assert sigma_point(np.zeros((2, 2)), np.eye(2)) == math.inf
 
 
 def test_sigma_restricted_uses_smallest_nonzero():
-    got = sigma_point(np.diag([-2.0, 0.0]), np.eye(2),
-                      restrict_to_range=True)
+    got = one_row(np.diag([-2.0, 0.0]), np.eye(2))[0][3]
     assert abs(got - 0.5) < 1e-14
 
 
 def test_sigma_restricted_rejects_large_kernel():
-    with pytest.raises(UnsupportedKernelError):
-        sigma_point(np.diag([-2.0, 0.0, 0.0]), np.eye(3),
-                    restrict_to_range=True)
-    with pytest.raises(UnsupportedKernelError):
-        sigma_point(np.zeros((2, 2)), np.eye(2), restrict_to_range=True)
+    for A in (np.diag([-2.0, 0.0, 0.0]), np.zeros((2, 2))):
+        assert isinstance(one_row(A, np.eye(len(A)))[1],
+                          UnsupportedKernelError)
 
 
 def test_sigma_regular_matrix_ignores_restriction_flag(rng):
     g = random_spd(rng, 2)
     A = random_cocoercive(rng, 2, g)
-    assert abs(sigma_point(A, g) - sigma_point(A, g, restrict_to_range=True)
+    assert abs(one_row(A, g)[0][3] - sigma_point(A, g, restrict_to_range=True)
                ) < 1e-14
 
 
@@ -460,30 +472,106 @@ FAMILY_BOXES = {
 }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ROW_KINDS = ("family", "family", "singular", "orthogonal kernel", "zero",
+             "expanding", "chart axis", "still")
+
+
+def recast(kind, t, g, A, X):
+    """(g, A, X) of a family point recast as a row of the given kind,
+    with the draw t in [0, 1] as its seed: A with a kernel in a random
+    direction (in general not orthogonal to its range), a rank-deficient
+    A whose kernel is g-orthogonal to its range and whose whitened form
+    is cocoercive on it, A = 0, -A, X along a chart axis, or X = 0."""
+    rng = np.random.default_rng(int(1e6 * t))
+    d = len(X)
+    if kind == "singular":
+        v = rng.standard_normal(d)
+        return g, A - np.outer(A @ v, v) / (v @ v), X
+    if kind == "orthogonal kernel":
+        w, q = np.linalg.eigh(g)
+        r = int(rng.integers(1, d))
+        V = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :r]
+        K = rng.standard_normal((r, r))
+        B = V @ (K - K.T - np.diag(1.0 + rng.random(r))) @ V.T
+        return g, (q / np.sqrt(w)) @ q.T @ B @ (q * np.sqrt(w)) @ q.T, X
+    if kind == "zero":
+        return g, np.zeros_like(A), X
+    if kind == "expanding":
+        return g, -A, X
+    if kind == "chart axis":
+        return g, A, (0.1 + 2.0 * t) * np.eye(d)[int(rng.integers(d))]
+    if kind == "still":
+        return g, A, np.zeros(d)
+    return g, A, X
+
+
+def oracle_outcome(g, A, X):
+    """The bits of _point_row at one point, or what it raises."""
+    try:
+        return bits(_point_row(g, A, X))
+    except Exception as exc:  # compared as a value
+        return raised(exc)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(FAMILY_BOXES)), eps=st.floats(0.2, 3.0),
-       draws=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1,
-                      max_size=12))
+       draws=st.lists(st.tuples(st.tuples(*[st.floats(0.0, 1.0)] * 3),
+                                st.sampled_from(ROW_KINDS),
+                                st.floats(0.0, 1.0)),
+                      min_size=1, max_size=12))
 def test_stacked_constants_equal_per_point_on_the_families(name, eps, draws):
     """On hypothesis draws over all four families, with non-cocoercive
-    s2 and s3 points mixed in: every row on the full-rank path equals the
-    per-point functions bit for bit, the rows that leave it are exactly
-    the non-cocoercive and the singular ones, and region_constants and
-    the per-point view give what the sequential loop gives."""
+    s2 and s3 points mixed in, and rows recast as singular,
+    rank-deficient with an orthogonal kernel, zero, expanding, along a
+    chart axis (s3's included) or still: every row of the stacked pass
+    equals the per-point functions bit for bit, or raises what they
+    raise, and region_constants and the per-point view of the family
+    points give what the sequential loop gives."""
     family = get_example(name)
     manifold = family.manifold
     field = family.make_field(eps)
-    pts = [manifold.point(FAMILY_BOXES[name](u)) for u in draws]
-    g, A, X = (np.array([f(p) for p in pts]) for f in (
-        manifold.metric, field.covariant_matrix,
-        lambda p: field.eval(p).comps))
-    vals, on_path = _full_rank_rows(g, A, X)
-    for i, p in enumerate(pts):
-        want = _point_row(g[i], A[i], X[i])
-        assert on_path[i] == (name != "h2-singular" and want[0] > 0.0)
-        if on_path[i]:
-            assert bits(vals[i]) == bits(want)
+    pts = [manifold.point(FAMILY_BOXES[name](u)) for u, _, _ in draws]
+    rows = [recast(kind, t, manifold.metric(p), field.covariant_matrix(p),
+                   field.eval(p).comps)
+            for p, (_, kind, t) in zip(pts, draws)]
+    vals, errors = _stacked_rows(*(np.array(col) for col in zip(*rows)))
+    for i, row in enumerate(rows):
+        got = raised(errors[i]) if i in errors else bits(vals[i])
+        assert got == oracle_outcome(*row)
     assert_same_as_sequential(field, manifold, lambda: iter(pts))
+
+
+def test_stacked_constants_equal_per_point_in_one_dimension():
+    """On a line: A = 0 (alpha and sigma inf, a one-dimensional kernel),
+    contracting, expanding and still rows equal the per-point functions
+    bit for bit, or raise what they raise."""
+    rows = [(np.array([[0.5]]), np.array([[a]]), np.array([x]))
+            for a in (0.0, -2.0, 3.0) for x in (1.5, 0.0)]
+    vals, errors = _stacked_rows(*(np.array(col) for col in zip(*rows)))
+    for i, row in enumerate(rows):
+        got = raised(errors[i]) if i in errors else bits(vals[i])
+        assert got == oracle_outcome(*row)
+    assert bits(vals[0]) == bits([math.inf] * 4)
+
+
+def test_non_finite_chart_data_raise_at_their_row():
+    """A row whose metric, covariant derivative or field has a nan or an
+    infinite entry raises GeostabError, and the other rows keep their
+    bits."""
+    clean = [np.array([TILTED] * 4),
+             np.array([[[-1.0, 0.5], [0.0, -2.0]]] * 4),
+             np.array([[1.0, 0.5]] * 4)]
+    want, errors = _stacked_rows(*clean)
+    assert not errors
+    for which in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            stacks = [x.copy() for x in clean]
+            stacks[which][2].flat[-1] = bad
+            vals, errors = _stacked_rows(*stacks)
+            assert list(errors) == [2]
+            assert type(errors[2]) is GeostabError
+            assert "not finite" in str(errors[2])
+            assert bits(vals[[0, 1, 3]]) == bits(want[[0, 1, 3]])
 
 
 def random_cocoercive_at(seed, g):

@@ -195,18 +195,13 @@ def test_sweep_stack_rows_equal_the_point_kernel(name, data, n):
         assert np.all(N[:, 0, :] == 0.0) and np.all(N[:, 1, 1] == -scale)
 
 
-def test_sweep_stack_calls_frame_only_off_the_plain_path(monkeypatch):
-    """Only the rows off the plain path call ManifoldModel.frame, in row
-    order: an s3 field along the first or second chart axis, whose
-    Gram–Schmidt candidate vanishes, and a vanishing field, whose
-    DegenerateDirectionError comes from the stack at its row."""
-    calls = []
-    frame = ManifoldModel.frame
-
-    def counted(self, p, first):
-        calls.append(p)
-        return frame(self, p, first)
-    monkeypatch.setattr(ManifoldModel, "frame", counted)
+def test_sweep_stack_frames_chart_axis_rows_and_raises_at_a_vanishing_row(
+        monkeypatch):
+    """Rows whose field lies along a chart axis of s3 (the first or
+    second axis makes a Gram–Schmidt candidate vanish) get the frame of
+    ManifoldModel.frame at their point, without a frame call, and a
+    vanishing field raises DegenerateDirectionError at its row: with two
+    degenerate rows the message names the norm of the first."""
     field = make_field("s3", eps=1.0)
     m = field.manifold
     points = [m.point((0.9, 1.1, 0.3 * k)) for k in range(5)]
@@ -215,17 +210,20 @@ def test_sweep_stack_calls_frame_only_off_the_plain_path(monkeypatch):
     g = [m.metric(p) for p in points]
     A = [field.covariant_matrix(p) for p in points]
     x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
+    frames = [m.frame(p, m.tangent(p, x)).matrix for p, x in zip(points, X)]
+    monkeypatch.setattr(ManifoldModel, "frame", None)
     N, _ = _sweep_stack(m, points, x_norm, g, A, X)
-    assert calls == [points[1], points[3]]
     for i, p in enumerate(points):
+        E = frames[i]
+        assert N[i].tobytes() == (E.T @ g[i] @ A[i] @ E).tobytes()
         assert N[i].tobytes() == point_kernel(m, p, x_norm[i], g[i], A[i],
                                               X[i])[0].tobytes()
-    calls.clear()
-    X[2] = np.zeros(3)
-    x_norm[2] = 0.0
-    with pytest.raises(DegenerateDirectionError):
-        _sweep_stack(m, points, x_norm, g, A, X)
-    assert calls == [points[1], points[2]]
+    X[2], x_norm[2] = np.zeros(3), 0.0
+    X[4], x_norm[4] = 1e-16 * np.eye(3)[2], 1e-16
+    for k, norm in ((0, "0.000e+00"), (3, "1.000e-16")):
+        with pytest.raises(DegenerateDirectionError, match=re.escape(
+                f"cannot normalize direction with norm {norm}")):
+            _sweep_stack(m, points[k:], x_norm[k:], g[k:], A[k:], X[k:])
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_points, random_tangent
 from odes import (BatchVariationState, christoffel_batch, geodesic_flow,
                   integrate_batch, metric_batch, transport_flow)
-from oracles import frame_vectors, geodesic
+from oracles import frame_vectors, geodesic, sequential_frame
 
 from geostab.errors import (
     ChartDomainError,
@@ -21,7 +23,7 @@ from geostab.errors import (
     GeostabError,
 )
 from geostab.manifolds import (HALF_PLANE, POLE_NUDGE, SPHERE2, SPHERE3,
-                               Euclidean, TangentVector)
+                               Euclidean, TangentVector, _frames, _g_norm)
 
 EUCLID2 = Euclidean(2)
 MODELS = [SPHERE2, HALF_PLANE, SPHERE3, EUCLID2]
@@ -226,6 +228,21 @@ def test_half_plane_log_vertical_branch():
     v = HALF_PLANE.log(p, q)
     # vertical line x=const is a geodesic; arc length log(y1/y0) = 1
     assert np.allclose(v.comps, [0.0, 1.0], atol=1e-12)
+
+
+def test_half_plane_log_of_a_near_vertical_far_pair():
+    """Here dx = 1.4e-15 and the arguments of the two radii round to the
+    same angle, so their difference cannot give the direction; the log
+    still has the length of the distance and exp returns to the other
+    point, both ways."""
+    p = HALF_PLANE.point([0.5687327993358328, 0.9815933955844378])
+    q = HALF_PLANE.point([0.5687327993358342, 29.383358199859163])
+    for a, b in ((p, q), (q, p)):
+        v = HALF_PLANE.log(a, b)
+        d = HALF_PLANE.distance(a, b)
+        assert d > 3.39
+        assert abs(v.norm() - d) <= 1e-14 * d
+        assert HALF_PLANE.distance(HALF_PLANE.exp(a, v), b) < 1e-12
 
 
 def test_sphere_log_rejects_antipode():
@@ -486,6 +503,49 @@ def test_frame_first_vector_aligned(model, rng):
     first = random_tangent(model, p, rng, scale=1.7)
     fr = model.frame(p, first)
     assert np.allclose(fr.matrix[:, 0] * 1.7, first.comps, atol=1e-12)
+
+
+FRAME_ROWS = ("random", "random", "axis", "near axis", "tiny", "zero")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([2, 3]), rows=st.lists(st.tuples(
+    st.integers(0, 2 ** 32 - 1), st.sampled_from(FRAME_ROWS), st.booleans()),
+    min_size=1, max_size=8))
+def test_stacked_frames_equal_the_sequential_frame(dim, rows):
+    """Each frame of a stack equals the per-point Gram-Schmidt bit for
+    bit, on diagonal (chart-like) and tilted metrics, with vectors along
+    a chart axis or within 1e-12 of one, whose first or second candidate
+    is skipped, and a stack with a vector below DEGENERATE_NORM raises
+    what the per-point frame raises at the first such row."""
+    g, X = [], []
+    for seed, kind, diagonal in rows:
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.05, 5.0, dim)
+        Q = np.eye(dim) if diagonal else np.linalg.qr(
+            rng.standard_normal((dim, dim)))[0]
+        g.append((Q * w) @ Q.T)
+        axis = np.eye(dim)[rng.integers(dim)] * rng.uniform(0.1, 3.0)
+        X.append({"random": rng.standard_normal(dim), "axis": axis,
+                  "near axis": axis + 1e-12 * rng.standard_normal(dim),
+                  "tiny": 1e-15 * rng.standard_normal(dim),
+                  "zero": np.zeros(dim)}[kind])
+    g, X = np.array(g), np.array(X)
+    x_norm = np.array([_g_norm(gi, xi) for gi, xi in zip(g, X)])
+    want, message = [], None
+    for gi, xi in zip(g, X):
+        try:
+            want.append(sequential_frame(gi, xi))
+        except DegenerateDirectionError as exc:
+            message = str(exc)
+            break
+    if message is None:
+        got = _frames(g, X, x_norm)
+        assert [E.tobytes() for E in got] == [E.tobytes() for E in want]
+    else:
+        with pytest.raises(DegenerateDirectionError) as info:
+            _frames(g, X, x_norm)
+        assert str(info.value) == message
 
 
 def test_frame_rejects_degenerate_direction():
