@@ -93,7 +93,7 @@ def _run_bound(config: RunConfig) -> int:
     family = get_example(config.example)
     eps = config.epsilons[0]
     p = _base_point(family, config.base)
-    [(_, consts, *_)] = _checked_constants(family, eps, [p])
+    [(_, consts, *_)] = _checked_constants(family, [eps], [p])
     res = _family_rule(family, [consts])[0]
     print(f"example     {config.example}")
     print(f"epsilon     {_fmt(eps)}")

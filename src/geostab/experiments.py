@@ -15,24 +15,25 @@ direction, the largest eigenvalue of the step-variation form), the
 certified step of the matching rule from pointwise
 constants, and CSV comparison tables over parameter grids.
 
-A table is computed in stacks, and every row takes the same path: the
-chart data of its rows feed one stacked constants pass per epsilon
-(``constants._constant_rows``), one ``_sweep_stack`` call builds the
-frames and step-variation data of every row from the same data, and one
-lockstep search (``_lockstep_hmax``) finds every row's empirical step;
-``numerical_hmax`` is that search on a one-row stack.
+A table is computed in stacks, and every row takes the same path: one
+stacked chart pass feeds one stacked constants pass for the rows of
+every epsilon (``constants._constant_rows``), one ``_sweep_stack`` call
+builds the frames and step-variation data of every row from the same
+data, and one lockstep search (``_lockstep_hmax``) finds every row's
+empirical step; ``numerical_hmax`` is that search on a one-row stack.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bounds import (BoundResult, _bisect_rows, _positive_rows,
                      bound_negative, bound_singular)
-from .constants import _aggregate, _constant_rows, _norms
+from .constants import (RegionConstants, _aggregate, _constant_rows, _drain,
+                        _norms)
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
@@ -55,6 +56,7 @@ VALIDATION_EPSILON = 1.0  # jacobi_validation's field parameter,
 VALIDATION_H_RANGE = (0.05, 0.5)  # its range of step sizes
 VALIDATION_DELTA = 1e-6  # and its central-difference step
 CROSS_CHECK_RTOL = 1e-8
+ROW_CONSTANTS = ("alpha", "mu_plus", "mu_minus", "sigma", "sup_norm")
 SCAN_STEPS = 15  # bracket steps every row of a lockstep search scans
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
@@ -201,10 +203,9 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _sweep_stack(manifold: ManifoldModel, points, x_norm, g, A, X):
+def _sweep_stack(manifold: ManifoldModel, x_norm, g, A, X):
     """(N, scale) of the step-variation form at every row of a table,
-    from the stacks of the rows' |X| and chart data g, A, X (the rows'
-    chart points are not read).
+    from the stacks of the rows' |X| and chart data g, A, X.
 
     Works in frame coefficients: with E the g-orthonormal frame at p led
     by X, a unit direction ξ has the variation with initial value ξ and
@@ -303,7 +304,7 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
         raise GeostabError("step search needs finite 0 < h_lo < h_hi")
     X = field.require_moving(p).comps
     g = manifold.metric(p)
-    N, scale = _sweep_stack(manifold, [p], [_g_norm(g, X)], [g],
+    N, scale = _sweep_stack(manifold, [_g_norm(g, X)], [g],
                             [field.covariant_matrix(p)], [X])
     return float(_lockstep_hmax(N, scale, curvature_sign(manifold.rho), [p],
                                 h_lo, h_hi, tol_h)[0])
@@ -330,23 +331,28 @@ def pair_ratios(field: FieldModel, p: ChartPoint, h: float,
 # -- theory side -------------------------------------------------------------
 
 
-def _checked_constants(family: ExampleFamily, eps: float, points):
-    """Yield (p, point_constants at p, |X|, g, A, X) for each of points
-    from one stacked pass, with the closed forms put in after a
-    cross-check to relative 1e-8, so that a slip in either derivation
-    cannot pass silently; |X| and the chart data feed _sweep_stack."""
-    for row in _constant_rows(family.make_field(eps), family.manifold,
-                              points):
-        p, consts = row[0], _aggregate([row], family.manifold.rho)
-        exact = family.analytic(eps, p.coords)
+def _checked_constants(family: ExampleFamily, epsilons: list, points):
+    """Yield (p, point_constants at p, |X|, g, A, X) for each of epsilons
+    and each of the list points from one stacked pass, with the closed
+    forms put in after a cross-check to relative 1e-8, so that a slip in
+    either derivation cannot pass silently; |X| and the chart data feed
+    _sweep_stack."""
+    rho = family.manifold.rho
+    fields = [family.make_field(eps) for eps in epsilons]
+    for i, row in enumerate(_constant_rows(fields, family.manifold, points)):
+        if row[1] <= 0.0:  # raises NotCocoerciveError, as in a region
+            _aggregate([row], rho)
+        p, numeric = row[0], dict(zip(ROW_CONSTANTS, row[1:6]))
+        exact = family.analytic(epsilons[i // len(points)], p.coords)
         for key, val in exact.items():
-            num = getattr(consts, key)
+            num = numeric[key]
             tol = CROSS_CHECK_RTOL * max(abs(val), abs(num))
             if math.isfinite(num) and abs(num - val) > tol:
                 raise InconsistentConstantsError(
                     f"closed-form {key} = {val:.17g} disagrees with the "
                     f"numeric value {num:.17g} at {tuple(p.coords)}")
-        yield (p, replace(consts, **exact), *row[5:])
+        consts = RegionConstants(**(numeric | exact), rho=rho, n_points=1)
+        yield (p, consts, *row[5:])
 
 
 def _family_rule(family: ExampleFamily, consts_seq) -> list:
@@ -365,7 +371,7 @@ def _family_rule(family: ExampleFamily, consts_seq) -> list:
 def theory_bound(example: str, eps: float, p: ChartPoint) -> BoundResult:
     """Certified step of the example's rule at p from _checked_constants."""
     family = get_example(example)
-    [(_, consts, *_)] = _checked_constants(family, eps, [p])
+    [(_, consts, *_)] = _checked_constants(family, [eps], [p])
     return _family_rule(family, [consts])[0]
 
 
@@ -398,28 +404,23 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     an explicit list of (base1, base2) pairs.  Rows are ordered by
     (epsilon, grid index), so repeated runs produce identical tables.
     The empirical steps of all rows come from one lockstep search, and
-    so do the certified steps of a positive-curvature family.  Each row
-    takes one chart walk; each epsilon's constants come from one stacked
-    pass, and the sweep kernels of the table from one _sweep_stack call
-    on the chart data of those passes.
+    so do the certified steps of a positive-curvature family.  Each grid
+    point is built once, the constants of all rows come from one stacked
+    pass, and the sweep kernels from one _sweep_stack call on its data.
     """
     family = get_example(example)
-    manifold = family.manifold
+    manifold, epsilons = family.manifold, list(epsilons)
     base_grid = (family.default_grid(base_grid)
                  if isinstance(base_grid, int) else list(base_grid))
-    keys, rows, failure = [], [], None
-    try:
-        for eps in epsilons:
-            for row in _checked_constants(family, eps, (
-                    manifold.point(family.to_coords(b1, b2))
-                    for b1, b2 in base_grid)):
-                rows.append(row)
-            keys += [(eps, b1, b2) for b1, b2 in base_grid]
-    except Exception as exc:  # raised once the rows before it are built
-        failure = exc
+    # an exception is raised once the rows before it are out
+    grid, failure = _drain(manifold.point(family.to_coords(b1, b2))
+                           for b1, b2 in base_grid)
+    rows, exc = _drain(_checked_constants(
+        family, epsilons if failure is None else epsilons[:1], grid))
+    failure = failure if exc is None else exc
     if rows:
         points, consts, *chart = zip(*rows)
-        N, scale = _sweep_stack(manifold, points, *chart)
+        N, scale = _sweep_stack(manifold, *chart)
     if failure is not None:
         raise failure
     if not rows:
@@ -427,6 +428,7 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     bounds = _family_rule(family, consts)
     h_num = _lockstep_hmax(N, scale, curvature_sign(manifold.rho), points,
                            DEFAULT_H_LO, DEFAULT_H_CAP, tol_h)
+    keys = [(eps, b1, b2) for eps in epsilons for b1, b2 in base_grid]
     return [SweepRow(example=family.name, epsilon=eps, base1=b1, base2=b2,
                      h_numeric=float(h), h_theory=res.h_max,
                      kappa_at_h=res.kappa_at_h, binding=res.binding)

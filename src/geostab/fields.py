@@ -13,7 +13,7 @@ component functions.
 
 import numpy as np
 
-from .errors import StationaryPointError
+from .errors import GeostabError, StationaryPointError
 from .manifolds import (
     HALF_PLANE,
     SPHERE2,
@@ -21,6 +21,7 @@ from .manifolds import (
     ChartPoint,
     ManifoldModel,
     TangentVector,
+    _diagonal,
 )
 
 FD_STEP = 1e-6  # central-difference step for generic jacobians
@@ -35,10 +36,13 @@ class FieldModel:
     ----------
     manifold : ManifoldModel
     func : callable
-        Chart components, coords (d,) -> comps (d,).
+        Chart components on coordinate stacks, coords (..., d) -> comps
+        (..., d); one point has no leading axes.
     jac : callable or None
-        Analytic jacobian coords -> (d, d) with J[i, j] = dX^i/dx^j.
-        When None, central finite differences with step 1e-6 are used.
+        Analytic jacobian coords (..., d) -> (..., d, d) with
+        J[..., i, j] = dX^i/dx^j.  When None, central finite differences
+        with step 1e-6 are used.  A value of another shape raises
+        GeostabError.
     name : str
     """
 
@@ -49,36 +53,46 @@ class FieldModel:
         self.name = name
 
     def eval(self, p: ChartPoint) -> TangentVector:
-        return TangentVector(p, self.components(p.coords))
+        """X at p, func's one-row call (TangentVector checks its shape)."""
+        return TangentVector(p, self._func(p.coords))
 
     def components(self, coords) -> np.ndarray:
-        """Raw component function at unchecked chart coordinates."""
-        return np.asarray(self._func(np.asarray(coords, dtype=float)),
-                          dtype=float)
+        """func at unchecked chart coordinates (..., d)."""
+        return self._checked(self._func, coords, ())
 
     def norm_at(self, p: ChartPoint) -> float:
         return self.manifold.norm(self.eval(p))
 
-    def jacobian(self, p: ChartPoint) -> np.ndarray:
+    def jacobians(self, coords) -> np.ndarray:
+        """jac, or central differences of func, at coordinates (..., d)."""
         if self._jac is not None:
-            return np.asarray(self._jac(p.coords), dtype=float)
-        d = self.manifold.dim
-        J = np.empty((d, d))
-        for j in range(d):
-            step = np.zeros(d)
-            step[j] = FD_STEP
-            hi = np.asarray(self._func(p.coords + step), dtype=float)
-            lo = np.asarray(self._func(p.coords - step), dtype=float)
-            J[:, j] = (hi - lo) / (2.0 * FD_STEP)
-        return J
+            return self._checked(self._jac, coords, np.shape(coords)[-1:])
+        c = np.asarray(coords, dtype=float)
+        return np.stack([self.components(c + e) - self.components(c - e)
+                         for e in FD_STEP * np.eye(c.shape[-1])],
+                        axis=-1) / (2.0 * FD_STEP)
 
     def covariant_matrix(self, p: ChartPoint) -> np.ndarray:
         """(grad X)^i_j = dX^i/dx^j + Gamma^i_{jk} X^k at p, as a (d, d)
         array whose entry [i, j] is the i-th component of the derivative
-        of X along the j-th chart direction."""
-        G = self.manifold.christoffel(p)
-        X = np.asarray(self._func(p.coords), dtype=float)
-        return self.jacobian(p) + np.einsum("ijk,k->ij", G, X)
+        of X along the j-th chart direction: the one-row call of
+        covariant_matrices."""
+        return self.covariant_matrices(p.coords)
+
+    def covariant_matrices(self, coords) -> np.ndarray:
+        """covariant_matrix at unchecked chart coordinates (..., d)."""
+        c = np.asarray(coords, dtype=float)
+        return self.jacobians(c) + np.einsum(
+            "...ijk,...k->...ij", self.manifold.christoffels(c),
+            self.components(c))
+
+    def _checked(self, fn, coords, tail) -> np.ndarray:
+        c = np.asarray(coords, dtype=float)
+        out = np.asarray(fn(c), dtype=float)
+        if out.shape != c.shape + tail:
+            raise GeostabError(f"{self.name}: {'jac' if tail else 'func'} "
+                               f"gave shape {out.shape} at {c.shape}")
+        return out
 
     def require_moving(self, p: ChartPoint) -> TangentVector:
         """eval(p), raising when the field vanishes there."""
@@ -91,15 +105,23 @@ class FieldModel:
         return f"FieldModel({self.name} on {self.manifold.name})"
 
 
+def _comps(c, *entries) -> np.ndarray:
+    """(..., d) at coordinates c (..., d) with entry i at index i."""
+    out = np.empty(c.shape)
+    for i, entry in enumerate(entries):
+        out[..., i] = entry
+    return out
+
+
 def s2_field(eps: float) -> FieldModel:
     """Rotation field with meridional drift on the 2-sphere:
     components (eps*cos(phi), 1)."""
 
     def func(c):
-        return np.array([eps * np.cos(c[0]), 1.0])
+        return _comps(c, eps * np.cos(c[..., 0]), 1.0)
 
     def jac(c):
-        return np.array([[-eps * np.sin(c[0]), 0.0], [0.0, 0.0]])
+        return _diagonal(c.shape[:-1], 2, -eps * np.sin(c[..., 0]))
 
     return FieldModel(SPHERE2, func, jac, name=f"s2(eps={eps:g})")
 
@@ -108,10 +130,10 @@ def h2_field(eps: float) -> FieldModel:
     """Constant-component field on the half-plane: (1, eps)."""
 
     def func(c):
-        return np.array([1.0, eps])
+        return _comps(c, 1.0, eps)
 
     def jac(c):
-        return np.zeros((2, 2))
+        return _diagonal(c.shape[:-1], 2)
 
     return FieldModel(HALF_PLANE, func, jac, name=f"h2(eps={eps:g})")
 
@@ -121,10 +143,10 @@ def h2_singular_field() -> FieldModel:
     has a one-dimensional kernel spanned by the field itself."""
 
     def func(c):
-        return np.array([0.0, c[1]])
+        return _comps(c, 0.0, c[..., 1])
 
     def jac(c):
-        return np.array([[0.0, 0.0], [0.0, 1.0]])
+        return _diagonal(c.shape[:-1], 2, 0.0, 1.0)
 
     return FieldModel(HALF_PLANE, func, jac, name="h2-singular")
 
@@ -134,12 +156,9 @@ def s3_field(eps: float) -> FieldModel:
     components (-eps*sin(psi), 0, 1)."""
 
     def func(c):
-        return np.array([-eps * np.sin(c[0]), 0.0, 1.0])
+        return _comps(c, -eps * np.sin(c[..., 0]), 0.0, 1.0)
 
     def jac(c):
-        J = np.zeros((3, 3))
-        J[0, 0] = -eps * np.cos(c[0])
-        return J
+        return _diagonal(c.shape[:-1], 3, -eps * np.cos(c[..., 0]))
 
     return FieldModel(SPHERE3, func, jac, name=f"s3(eps={eps:g})")
-

@@ -132,12 +132,17 @@ class ManifoldModel:
     # -- metric --------------------------------------------------------------
 
     def metric(self, p: ChartPoint) -> np.ndarray:
-        """Metric matrix g_ij in chart coordinates at p."""
-        raise NotImplementedError
+        """Metric matrix g_ij in chart coordinates at p: the one-row call
+        of a subclass's metrics, which takes an (n, d) stack of unchecked
+        coordinates to (n, d, d), or one point (d,) to (d, d).  They read
+        the coordinates by axis, coords.T, which at one point are numpy
+        scalars (faster than 0-d arrays)."""
+        return self.metrics(p.coords)
 
     def christoffel(self, p: ChartPoint) -> np.ndarray:
-        """Christoffel symbols, indexed G[i, j, k] = Gamma^i_{jk}."""
-        raise NotImplementedError
+        """Christoffel symbols, indexed G[i, j, k] = Gamma^i_{jk}: the
+        one-row call of christoffels, as metric."""
+        return self.christoffels(p.coords)
 
     def inner(self, v: TangentVector, w: TangentVector) -> float:
         g = self.metric(v.base)
@@ -172,6 +177,20 @@ class ManifoldModel:
         g = self.metric(p)
         return Frame(p, _frames(g[None], first.comps[None],
                                 np.array([_g_norm(g, first.comps)]))[0])
+
+
+def _diagonal(lead, d, *entries):
+    """lead + (d, d) diagonal matrices with entry i at (i, i), else 0."""
+    out = np.zeros(lead + (d, d))
+    for i, entry in enumerate(entries):
+        out[..., i, i] = entry
+    return out
+
+
+def _sq(x):
+    """x squared by pow, as numpy squares a scalar: on an array x ** 2
+    multiplies, which differs in about one case in a thousand."""
+    return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
 
 
 def _g_norm(g, x) -> float:
@@ -314,14 +333,15 @@ class Sphere2(_EmbeddedSphere):
         if not (-np.pi / 2 < c[0] < np.pi / 2):
             raise ChartDomainError(f"s2: elevation {c[0]} outside (-pi/2, pi/2)")
 
-    def metric(self, p):
-        return np.diag([1.0, np.cos(p.coords[0]) ** 2])
+    def metrics(self, coords):
+        c = np.asarray(coords, dtype=float).T
+        return _diagonal(c.shape[1:], 2, 1.0, _sq(np.cos(c[0])))
 
-    def christoffel(self, p):
-        phi = p.coords[0]
-        G = np.zeros((2, 2, 2))
-        G[0, 1, 1] = np.sin(phi) * np.cos(phi)
-        G[1, 0, 1] = G[1, 1, 0] = -np.tan(phi)
+    def christoffels(self, coords):
+        c = np.asarray(coords, dtype=float).T
+        G = np.zeros(c.shape[1:] + (2, 2, 2))
+        G[..., 0, 1, 1] = np.sin(c[0]) * np.cos(c[0])
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = -np.tan(c[0])
         return G
 
     def embed(self, p):
@@ -364,22 +384,22 @@ class Sphere3(_EmbeddedSphere):
         if not (0.0 < c[1] < np.pi):
             raise ChartDomainError(f"s3: theta {c[1]} outside (0, pi)")
 
-    def metric(self, p):
-        psi, th = p.coords[0], p.coords[1]
-        sp = np.sin(psi)
-        return np.diag([1.0, sp ** 2, (sp * np.sin(th)) ** 2])
+    def metrics(self, coords):
+        c = np.asarray(coords, dtype=float).T
+        sp = np.sin(c[0])
+        return _diagonal(c.shape[1:], 3, 1.0, _sq(sp), _sq(sp * np.sin(c[1])))
 
-    def christoffel(self, p):
-        psi, th = p.coords[0], p.coords[1]
-        sp, cp = np.sin(psi), np.cos(psi)
-        st, ct = np.sin(th), np.cos(th)
-        G = np.zeros((3, 3, 3))
-        G[0, 1, 1] = -sp * cp
-        G[0, 2, 2] = -sp * cp * st ** 2
-        G[1, 0, 1] = G[1, 1, 0] = cp / sp
-        G[1, 2, 2] = -st * ct
-        G[2, 0, 2] = G[2, 2, 0] = cp / sp
-        G[2, 1, 2] = G[2, 2, 1] = ct / st
+    def christoffels(self, coords):
+        c = np.asarray(coords, dtype=float).T
+        sp, cp = np.sin(c[0]), np.cos(c[0])
+        st, ct = np.sin(c[1]), np.cos(c[1])
+        G = np.zeros(c.shape[1:] + (3, 3, 3))
+        G[..., 0, 1, 1] = -sp * cp
+        G[..., 0, 2, 2] = -sp * cp * _sq(st)
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = cp / sp
+        G[..., 1, 2, 2] = -st * ct
+        G[..., 2, 0, 2] = G[..., 2, 2, 0] = cp / sp
+        G[..., 2, 1, 2] = G[..., 2, 2, 1] = ct / st
         return G
 
     def embed(self, p):
@@ -440,16 +460,15 @@ class HalfPlane(ManifoldModel):
         if not c[1] > 0.0:
             raise ChartDomainError(f"h2: y = {c[1]} not positive")
 
-    def metric(self, p):
-        y = p.coords[1]
-        return np.eye(2) / y ** 2
+    def metrics(self, coords):
+        c = np.asarray(coords, dtype=float).T
+        return _diagonal(c.shape[1:], 2, *[1.0 / _sq(c[1])] * 2)
 
-    def christoffel(self, p):
-        y = p.coords[1]
-        G = np.zeros((2, 2, 2))
-        G[0, 0, 1] = G[0, 1, 0] = -1.0 / y
-        G[1, 0, 0] = 1.0 / y
-        G[1, 1, 1] = -1.0 / y
+    def christoffels(self, coords):
+        c = np.asarray(coords, dtype=float).T
+        G = np.zeros(c.shape[1:] + (2, 2, 2))
+        G[..., 0, 0, 1] = G[..., 0, 1, 0] = G[..., 1, 1, 1] = -1.0 / c[1]
+        G[..., 1, 0, 0] = 1.0 / c[1]
         return G
 
     def _mobius(self, p, v):
@@ -546,11 +565,11 @@ class Euclidean(ManifoldModel):
     def _check_domain(self, c):
         pass
 
-    def metric(self, p):
-        return np.eye(self.dim)
+    def metrics(self, coords):
+        return _diagonal(np.shape(coords)[:-1], self.dim, *[1.0] * self.dim)
 
-    def christoffel(self, p):
-        return np.zeros((self.dim,) * 3)
+    def christoffels(self, coords):
+        return np.zeros(np.shape(coords) + (self.dim,) * 2)
 
     def exp(self, p, v):
         return self.point(p.coords + v.comps)

@@ -147,13 +147,13 @@ def brute_log_g_norm(A, g, n=4000, rng=None):
 
 
 def linear_field(manifold, matrix, name="linear") -> FieldModel:
-    """X(p) = matrix @ p on a Euclidean model."""
+    """X(p) = matrix @ p on a Euclidean model, on coordinate stacks."""
     M = np.array(matrix, dtype=float)
 
     def func(c):
-        return M @ c
+        return (M @ c[..., None])[..., 0]
 
     def jac(c):
-        return M
+        return np.broadcast_to(M, c.shape + c.shape[-1:])
 
     return FieldModel(manifold, func, jac, name=name)

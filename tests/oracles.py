@@ -38,12 +38,12 @@ variation field realised in a frame, and the reader that parses a
 figure CSV back into sweep rows.
 
 The per-point constants functions (alpha_point, mu_plus_point,
-mu_minus_point, sigma_point and their row, _point_row) compute each
-constant at one point with its own LAPACK calls.  The sequential region
-constants are region_constants as a plain loop over the points, each
-through those functions; the stacked pass of ``geostab.constants`` must
-give the same constants, bit for bit, and raise the same exceptions at
-the same points.
+mu_minus_point, sigma_point, singular_sigma and their row, _point_row)
+compute each constant at one point with its own LAPACK calls.  The
+sequential region constants are region_constants as a plain loop over
+the points, each through those functions; the stacked pass of
+``geostab.constants`` must give the same constants, bit for bit, and
+raise the same exceptions at the same points.
 
 The logarithmic g-norm of the covariant derivative, the one-sided
 Lipschitz rate of the field, is checked against its closed forms; no
@@ -138,7 +138,7 @@ def sweep_kernel(field, manifold, p):
     builds."""
     X = field.require_moving(p).comps
     g = manifold.metric(p)
-    N, scale = _sweep_stack(manifold, [p], [_g_norm(g, X)], [g],
+    N, scale = _sweep_stack(manifold, [_g_norm(g, X)], [g],
                             [field.covariant_matrix(p)], [X])
     return N[0], scale[0], curvature_sign(manifold.rho)
 
@@ -576,6 +576,28 @@ def sigma_point(A: np.ndarray, g: np.ndarray,
     return float(1.0 / s[-1])
 
 
+def singular_sigma(A: np.ndarray, g: np.ndarray, X: np.ndarray) -> float:
+    """sigma_point restricted to the range at a singular point, after the
+    checks of the singular rule: a kernel of dimension one, a field that
+    does not vanish, and a kernel along the field (|B x| at most
+    RANK_RTOL s_max(B) for the unit field direction x = g^½X/|X|_g)."""
+    sigma = sigma_point(A, g, restrict_to_range=True)
+    X = np.asarray(X, dtype=float)
+    nsq = float(X @ (np.asarray(g, dtype=float) @ X))
+    if nsq <= 1e-28:
+        raise DegenerateDirectionError(
+            "field direction vanishes; projection undefined")
+    half, _ = _metric_sqrt(g)
+    off = float(np.linalg.norm(half @ A @ X)) / math.sqrt(nsq)
+    s_max = float(np.linalg.svd(_whiten(A, g), compute_uv=False)[0])
+    if not off <= RANK_RTOL * s_max:
+        raise UnsupportedKernelError(
+            "restricted inverse bound needs the kernel along the field; "
+            f"|B x| = {off:.3e} at the unit field direction x, above "
+            f"{RANK_RTOL:g} s_max(B)")
+    return sigma
+
+
 def _point_row(g, A, X) -> tuple:
     """(alpha, mu_plus, mu_minus, sigma) at one point from the per-point
     functions; a non-cocoercive point stops at alpha."""
@@ -586,7 +608,7 @@ def _point_row(g, A, X) -> tuple:
         return (a, mu_plus_point(A, g, X), mu_minus_point(A, g, X),
                 sigma_point(A, g))
     except SingularConnectionError:
-        return a, math.inf, math.inf, sigma_point(A, g, restrict_to_range=True)
+        return a, math.inf, math.inf, singular_sigma(A, g, X)
 
 
 def log_g_norm(A: np.ndarray, g: np.ndarray) -> float:
@@ -617,7 +639,7 @@ def sequential_region_constants(field, manifold, points) -> RegionConstants:
         except SingularConnectionError:
             mu_plus = math.inf
             mu_minus = math.inf
-            sigma = max(sigma, sigma_point(A, g, restrict_to_range=True))
+            sigma = max(sigma, singular_sigma(A, g, X.comps))
         sup_norm = max(sup_norm, X.norm())
     if bad:
         raise NotCocoerciveError(

@@ -5,6 +5,7 @@ and generalized symmetric eigenproblems solved by scipy.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     make_field,
 )
 
+from geostab.bounds import bound_singular
 from geostab.constants import (
     RegionConstants,
     _aggregate,
@@ -31,13 +33,14 @@ from geostab.constants import (
     region_constants,
 )
 from geostab.errors import (
+    BracketError,
     DegenerateDirectionError,
     GeostabError,
     NoFiniteAlphaError,
     NotCocoerciveError,
     UnsupportedKernelError,
 )
-from geostab.experiments import get_example
+from geostab.experiments import get_example, numerical_hmax
 from geostab.fields import FieldModel
 from geostab.manifolds import HALF_PLANE, SPHERE2, Euclidean
 
@@ -269,14 +272,17 @@ def test_mu_matches_dense_sampling(rng):
 
 def test_mu_raises_on_singular_matrix():
     """The per-point oracle raises; the stacked pass reads the undefined
-    projection constants as inf and raises nothing."""
+    projection constants as inf and raises nothing where the kernel lies
+    along the field, and UnsupportedKernelError where it does not."""
     A = np.diag([-1.0, 0.0])
     with pytest.raises(SingularConnectionError):
         mu_plus_point(A, np.eye(2), np.array([1.0, 0.0]))
     with pytest.raises(SingularConnectionError):
         mu_minus_point(A, np.eye(2), np.array([1.0, 0.0]))
-    vals, error = one_row(A, np.eye(2), np.array([1.0, 0.0]))
+    vals, error = one_row(A, np.eye(2), np.array([0.0, 1.0]))
     assert vals[1] == vals[2] == math.inf and error is None
+    assert type(one_row(A, np.eye(2), np.array([1.0, 0.0]))[1]) is \
+        UnsupportedKernelError
 
 
 def test_mu_plus_dominates_alpha_on_sphere_example(rng):
@@ -431,7 +437,7 @@ def each_point(field, manifold, make_points):
     the outcome at each point, up to the first exception it raises."""
     out = []
     try:
-        for row in _constant_rows(field, manifold, make_points()):
+        for row in _constant_rows([field], manifold, make_points()):
             out.append(outcome(_aggregate, [row], manifold.rho))
     except Exception as exc:  # compared as a value
         out.append(raised(exc))
@@ -606,22 +612,27 @@ PATCHES = [
 ]
 
 
+def patches(coords, which, shape):
+    """The stack (..., *shape) of PATCHES[k][which](t) at the coordinate
+    stack of points (k, t); a missing entry raises for the whole stack."""
+    c = np.asarray(coords, dtype=float)
+    makes = [PATCHES[int(k)][which] for k in c[..., 0].ravel()]
+    if None in makes:
+        raise GeostabError("no covariant derivative at this point")
+    return np.array([make(t) for make, t in zip(makes, c[..., 1].ravel())]
+                    ).reshape(c.shape[:-1] + shape)
+
+
 class Patchwork(Euclidean):
     """The plane with the metric of PATCHES[k] at the points (k, t)."""
 
-    def metric(self, p):
-        return PATCHES[int(p.coords[0])][1](p.coords[1])
+    def metrics(self, coords):
+        return patches(coords, 1, (2, 2))
 
 
 def patchwork_field(manifold):
-    def jac(c):
-        make = PATCHES[int(c[0])][2]
-        if make is None:
-            raise GeostabError("no covariant derivative at this point")
-        return make(c[1])
-
-    return FieldModel(manifold, lambda c: PATCHES[int(c[0])][3](c[1]), jac,
-                      name="patchwork")
+    return FieldModel(manifold, lambda c: patches(c, 3, (2,)),
+                      lambda c: patches(c, 2, (2, 2)), name="patchwork")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -668,6 +679,69 @@ def test_stacked_constants_keep_the_first_error_of_a_box():
             assert info.value.points == [pts[1], pts[3]]
         assert outcome(region_constants, field, manifold, pts) == outcome(
             sequential_region_constants, field, manifold, pts)
+
+
+def affine_field(manifold, p, a, nabla):
+    """The field a + J(x - p) with J = nabla - Γ(p)·a, on coordinate
+    stacks: X(p) = a and ∇X(p) = nabla."""
+    a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
+    J = np.asarray(nabla, dtype=float) - np.einsum(
+        "ijk,k->ij", manifold.christoffels(p), a)
+    return FieldModel(manifold, lambda c: a + (J @ (c - p)[..., None])[..., 0],
+                      lambda c: np.broadcast_to(J, c.shape + c.shape[-1:]),
+                      name="affine")
+
+
+KERNEL_OFF_FIELD = "restricted inverse bound needs the kernel along the field"
+
+
+def test_singular_rule_rejects_a_kernel_off_the_field():
+    """On HALF_PLANE at (0, 1), X = (1, 0) and ∇X = diag(-1, 0) have a
+    one-dimensional kernel orthogonal to X.  The singular rule would
+    certify every step (alpha = sigma = 1, mu = inf) though the step is
+    expansive from h_lo on, so the point and any region holding it raise
+    UnsupportedKernelError, at its row, naming the kernel direction."""
+    p = HALF_PLANE.point((0.0, 1.0))
+    field = affine_field(HALF_PLANE, p.coords, (1.0, 0.0),
+                         np.diag([-1.0, 0.0]))
+    assert bits(field.covariant_matrix(p)) == bits(np.diag([-1.0, 0.0]))
+    with pytest.raises(BracketError):
+        numerical_hmax(field, HALF_PLANE, p)
+    with pytest.raises(UnsupportedKernelError, match=re.escape(
+            KERNEL_OFF_FIELD + "; |B x| = 1.000e+00")):
+        point_constants(field, HALF_PLANE, p)
+    near = [HALF_PLANE.point(c) for c in ((0.1, 1.0), (0.0, 1.0), (0.0, 1.2))]
+    rows = []
+    with pytest.raises(UnsupportedKernelError, match=KERNEL_OFF_FIELD):
+        for row in _constant_rows([field], HALF_PLANE, near):
+            rows.append(row)
+    assert [r[0] for r in rows] == near[:1]
+    assert outcome(region_constants, field, HALF_PLANE, near) == outcome(
+        sequential_region_constants, field, HALF_PLANE, near)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-3, math.pi / 2])
+def test_singular_rule_needs_the_kernel_along_the_field(theta, c):
+    """X(p) = (0, 1) and ∇X(p) = -c(I - uuᵀ), u at angle θ from X: a
+    kernel along X (θ = 0) keeps its exact certificate, and any tilt,
+    down to θ = 1e-6 where the step stops being non-expansive near
+    1e-4, raises UnsupportedKernelError; the oracle agrees."""
+    p = HALF_PLANE.point((0.0, 1.0))
+    u = np.array([math.sin(theta), math.cos(theta)])
+    nabla = -c * (np.eye(2) - np.outer(u, u))
+    field = affine_field(HALF_PLANE, p.coords, (0.0, 1.0), nabla)
+    assert outcome(point_constants, field, HALF_PLANE, p) == outcome(
+        sequential_region_constants, field, HALF_PLANE, [p])
+    if theta > 0.0:
+        with pytest.raises(UnsupportedKernelError, match=KERNEL_OFF_FIELD):
+            point_constants(field, HALF_PLANE, p)
+        return
+    consts = point_constants(field, HALF_PLANE, p)
+    h = bound_singular(consts, (consts.sup_norm, consts.sup_norm)).h_max
+    assert h == pytest.approx({0.5: 1.0986123, 1.0: math.inf,
+                               3.0: 0.6931472}[c], rel=1e-6)
+    assert h <= numerical_hmax(field, HALF_PLANE, p) * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("d", [2, 3])

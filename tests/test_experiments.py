@@ -17,8 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from geostab.errors import (BracketError, DegenerateDirectionError,
-                            GeostabError, InconsistentConstantsError,
+from geostab.errors import (BracketError, ChartDomainError,
+                            DegenerateDirectionError, GeostabError,
+                            InconsistentConstantsError, NotCocoerciveError,
                             StationaryPointError)
 from geostab.experiments import (
     CSV_HEADER,
@@ -37,6 +38,7 @@ from geostab.experiments import (
     unit_directions,
     write_csv,
 )
+from geostab import constants
 from geostab.fields import FieldModel
 from geostab.jacobi import gee_jacobi_data, jacobi_norm
 from geostab.manifolds import Euclidean, ManifoldModel
@@ -186,7 +188,7 @@ def test_sweep_stack_rows_equal_the_point_kernel(name, data, n):
     m = rows[0][0]
     _, points, g, A, X = zip(*rows)
     x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
-    N, scale = _sweep_stack(m, points, x_norm, g, A, X)
+    N, scale = _sweep_stack(m, x_norm, g, A, X)
     for i, row in enumerate(rows):
         want_N, want_scale = point_kernel(*row[:2], x_norm[i], *row[2:])
         assert N[i].tobytes() == want_N.tobytes()
@@ -212,7 +214,7 @@ def test_sweep_stack_frames_chart_axis_rows_and_raises_at_a_vanishing_row(
     x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
     frames = [m.frame(p, m.tangent(p, x)).matrix for p, x in zip(points, X)]
     monkeypatch.setattr(ManifoldModel, "frame", None)
-    N, _ = _sweep_stack(m, points, x_norm, g, A, X)
+    N, _ = _sweep_stack(m, x_norm, g, A, X)
     for i, p in enumerate(points):
         E = frames[i]
         assert N[i].tobytes() == (E.T @ g[i] @ A[i] @ E).tobytes()
@@ -223,7 +225,7 @@ def test_sweep_stack_frames_chart_axis_rows_and_raises_at_a_vanishing_row(
     for k, norm in ((0, "0.000e+00"), (3, "1.000e-16")):
         with pytest.raises(DegenerateDirectionError, match=re.escape(
                 f"cannot normalize direction with norm {norm}")):
-            _sweep_stack(m, points[k:], x_norm[k:], g[k:], A[k:], X[k:])
+            _sweep_stack(m, x_norm[k:], g[k:], A[k:], X[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +535,17 @@ def test_figure_sweep_rows_ordered_and_sound():
         assert r.binding in ("flat", "kappa-cap", "curvature")
 
 
+def test_figure_sweep_raises_a_bad_grid_point_after_the_rows_before_it():
+    """A grid point outside the chart raises once the rows before it in
+    (epsilon, grid index) order are out: those of the first epsilon
+    only, so a later epsilon's non-cocoercive rows do not raise first."""
+    grid = [(1.0, None), (-1.0, None)]
+    with pytest.raises(ChartDomainError):
+        figure_sweep("h2", epsilons=(1.0, -1.0), base_grid=grid)
+    with pytest.raises(NotCocoerciveError):
+        figure_sweep("h2", epsilons=(-1.0, 1.0), base_grid=grid)
+
+
 def test_figure_sweep_reads_a_one_shot_grid_for_every_epsilon():
     """A grid given as an iterator serves every epsilon, as a list does."""
     grid = [(0.8, None), (1.2, None)]
@@ -543,31 +556,47 @@ def test_figure_sweep_reads_a_one_shot_grid_for_every_epsilon():
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_figure_sweep_walks_the_chart_once_per_row(name, monkeypatch):
-    """Each row's sweep kernel is built from the chart data of its
-    constants pass: one eval, covariant_matrix, christoffel and metric
-    call per row; |X| and the frames come from that metric, so no row
-    calls ManifoldModel.frame."""
-    calls = collections.Counter()
+    """A table builds each grid point once and takes one stacked chart
+    pass: one metric, covariant-matrix and component call per epsilon on
+    the stack of all its grid points, and one constants pass for the
+    rows of every epsilon.  No row makes a
+    one-point eval, covariant_matrix, metric, christoffel or frame call;
+    |X| and the frames come from the stacked metric."""
+    calls, shapes = collections.Counter(), collections.defaultdict(list)
 
-    def count(cls, method):
-        inner = getattr(cls, method)
+    def count(owner, method, shape_of=None):
+        inner = getattr(owner, method)
 
         def counted(*args, **kwargs):
             calls[method] += 1
+            if shape_of is not None:
+                shapes[method].append(np.shape(args[shape_of]))
             return inner(*args, **kwargs)
-        monkeypatch.setattr(cls, method, counted)
+        monkeypatch.setattr(owner, method, counted)
 
     manifold = type(get_example(name).manifold)
-    count(FieldModel, "eval")
-    count(FieldModel, "covariant_matrix")
-    count(manifold, "christoffel")
-    count(manifold, "metric")
+    d = get_example(name).manifold.dim
+    for method in ("eval", "covariant_matrix"):
+        count(FieldModel, method)
+    count(FieldModel, "covariant_matrices", 1)
+    count(FieldModel, "components", 1)
+    for method in ("christoffel", "metric"):
+        count(manifold, method)
+    count(manifold, "metrics", 1)
+    count(ManifoldModel, "point")
     count(ManifoldModel, "frame")
+    count(constants, "_stacked_rows", 2)
     n = len(figure_sweep(name, epsilons=(0.5, 2.0), base_grid=6))
     assert n == 12
-    assert calls["eval"] == calls["covariant_matrix"] == n
-    assert calls["christoffel"] == calls["metric"] == n
-    assert calls["frame"] == 0
+    assert calls["point"] == 6
+    assert shapes["metrics"] == [(6, d)] * 2
+    assert shapes["covariant_matrices"] == [(6, d)] * 2
+    assert shapes["_stacked_rows"] == [(12, d)]
+    # each covariant matrix reads the components once, besides X itself
+    assert shapes["components"] == [(6, d)] * 4
+    for method in ("eval", "covariant_matrix", "christoffel", "metric",
+                   "frame"):
+        assert calls[method] == 0
 
 
 def test_figure_sweep_grid_count_uses_family_default():
