@@ -166,8 +166,8 @@ def _constant_rows(fields, manifold, points):
     row, and a chart call's (at the first row that raises alone) or the
     points' after the rows before it."""
     def chart(field, c):
-        return (manifold.metrics(c), field.covariant_matrices(c),
-                field.components(c))
+        X = field.components(c)
+        return manifold.metrics(c), field._covariant(c, X), X
 
     pts, failure = _drain(points)
     coords = np.array([p.coords for p in pts])

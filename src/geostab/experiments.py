@@ -25,15 +25,14 @@ empirical step; ``numerical_hmax`` is that search on a one-row stack.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bounds import (BoundResult, _bisect_rows, _positive_rows,
                      bound_negative, bound_singular)
-from .constants import (RegionConstants, _aggregate, _constant_rows, _drain,
-                        _norms)
+from .constants import _aggregate, _constant_rows, _drain, _norms
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
@@ -56,7 +55,6 @@ VALIDATION_EPSILON = 1.0  # jacobi_validation's field parameter,
 VALIDATION_H_RANGE = (0.05, 0.5)  # its range of step sizes
 VALIDATION_DELTA = 1e-6  # and its central-difference step
 CROSS_CHECK_RTOL = 1e-8
-ROW_CONSTANTS = ("alpha", "mu_plus", "mu_minus", "sigma", "sup_norm")
 SCAN_STEPS = 15  # bracket steps every row of a lockstep search scans
 ALIGN_TOL = 1e-12  # relative size below which a variation block is
 #                    treated as structurally zero (rounding dust sits
@@ -337,22 +335,18 @@ def _checked_constants(family: ExampleFamily, epsilons: list, points):
     forms put in after a cross-check to relative 1e-8, so that a slip in
     either derivation cannot pass silently; |X| and the chart data feed
     _sweep_stack."""
-    rho = family.manifold.rho
     fields = [family.make_field(eps) for eps in epsilons]
     for i, row in enumerate(_constant_rows(fields, family.manifold, points)):
-        if row[1] <= 0.0:  # raises NotCocoerciveError, as in a region
-            _aggregate([row], rho)
-        p, numeric = row[0], dict(zip(ROW_CONSTANTS, row[1:6]))
+        p, consts = row[0], _aggregate([row], family.manifold.rho)
         exact = family.analytic(epsilons[i // len(points)], p.coords)
         for key, val in exact.items():
-            num = numeric[key]
+            num = getattr(consts, key)
             tol = CROSS_CHECK_RTOL * max(abs(val), abs(num))
             if math.isfinite(num) and abs(num - val) > tol:
                 raise InconsistentConstantsError(
                     f"closed-form {key} = {val:.17g} disagrees with the "
                     f"numeric value {num:.17g} at {tuple(p.coords)}")
-        consts = RegionConstants(**(numeric | exact), rho=rho, n_points=1)
-        yield (p, consts, *row[5:])
+        yield (p, replace(consts, **exact), *row[5:])
 
 
 def _family_rule(family: ExampleFamily, consts_seq) -> list:

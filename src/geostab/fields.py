@@ -80,11 +80,15 @@ class FieldModel:
         return self.covariant_matrices(p.coords)
 
     def covariant_matrices(self, coords) -> np.ndarray:
-        """covariant_matrix at unchecked chart coordinates (..., d)."""
+        """covariant_matrix at unchecked chart coordinates, an (n, d)
+        stack or one point (d,), as the models' christoffels take."""
         c = np.asarray(coords, dtype=float)
+        return self._covariant(c, self.components(c))
+
+    def _covariant(self, c, X) -> np.ndarray:
+        """covariant_matrices at coordinates c given X = components(c)."""
         return self.jacobians(c) + np.einsum(
-            "...ijk,...k->...ij", self.manifold.christoffels(c),
-            self.components(c))
+            "...ijk,...k->...ij", self.manifold.christoffels(c), X)
 
     def _checked(self, fn, coords, tail) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
@@ -105,23 +109,16 @@ class FieldModel:
         return f"FieldModel({self.name} on {self.manifold.name})"
 
 
-def _comps(c, *entries) -> np.ndarray:
-    """(..., d) at coordinates c (..., d) with entry i at index i."""
-    out = np.empty(c.shape)
-    for i, entry in enumerate(entries):
-        out[..., i] = entry
-    return out
-
-
 def s2_field(eps: float) -> FieldModel:
     """Rotation field with meridional drift on the 2-sphere:
     components (eps*cos(phi), 1)."""
 
     def func(c):
-        return _comps(c, eps * np.cos(c[..., 0]), 1.0)
+        return _diagonal(c.shape[:-1], 2, eps * np.cos(c.T[0]), 1.0,
+                         rank=1)
 
     def jac(c):
-        return _diagonal(c.shape[:-1], 2, -eps * np.sin(c[..., 0]))
+        return _diagonal(c.shape[:-1], 2, -eps * np.sin(c.T[0]))
 
     return FieldModel(SPHERE2, func, jac, name=f"s2(eps={eps:g})")
 
@@ -130,7 +127,7 @@ def h2_field(eps: float) -> FieldModel:
     """Constant-component field on the half-plane: (1, eps)."""
 
     def func(c):
-        return _comps(c, 1.0, eps)
+        return _diagonal(c.shape[:-1], 2, 1.0, eps, rank=1)
 
     def jac(c):
         return _diagonal(c.shape[:-1], 2)
@@ -143,7 +140,7 @@ def h2_singular_field() -> FieldModel:
     has a one-dimensional kernel spanned by the field itself."""
 
     def func(c):
-        return _comps(c, 0.0, c[..., 1])
+        return _diagonal(c.shape[:-1], 2, 0.0, c.T[1], rank=1)
 
     def jac(c):
         return _diagonal(c.shape[:-1], 2, 0.0, 1.0)
@@ -156,9 +153,10 @@ def s3_field(eps: float) -> FieldModel:
     components (-eps*sin(psi), 0, 1)."""
 
     def func(c):
-        return _comps(c, -eps * np.sin(c[..., 0]), 0.0, 1.0)
+        return _diagonal(c.shape[:-1], 3, -eps * np.sin(c.T[0]), 0.0,
+                         1.0, rank=1)
 
     def jac(c):
-        return _diagonal(c.shape[:-1], 3, -eps * np.cos(c[..., 0]))
+        return _diagonal(c.shape[:-1], 3, -eps * np.cos(c.T[0]))
 
     return FieldModel(SPHERE3, func, jac, name=f"s3(eps={eps:g})")

@@ -179,11 +179,14 @@ class ManifoldModel:
                                 np.array([_g_norm(g, first.comps)]))[0])
 
 
-def _diagonal(lead, d, *entries):
-    """lead + (d, d) diagonal matrices with entry i at (i, i), else 0."""
-    out = np.zeros(lead + (d, d))
+def _diagonal(lead, d, *entries, rank=2):
+    """lead + (d,) * rank arrays with entry i at (i,) * rank, else 0:
+    diagonal matrices, or for rank 1 vectors.  An entry is laid out as
+    coords.T[i] (the lead axes reversed), a scalar at one point."""
+    out = np.zeros(lead + (d,) * rank)
+    view = out.T
     for i, entry in enumerate(entries):
-        out[..., i, i] = entry
+        view[(i,) * rank] = entry
     return out
 
 

@@ -578,7 +578,7 @@ def test_figure_sweep_walks_the_chart_once_per_row(name, monkeypatch):
     d = get_example(name).manifold.dim
     for method in ("eval", "covariant_matrix"):
         count(FieldModel, method)
-    count(FieldModel, "covariant_matrices", 1)
+    count(FieldModel, "_covariant", 1)
     count(FieldModel, "components", 1)
     for method in ("christoffel", "metric"):
         count(manifold, method)
@@ -590,10 +590,10 @@ def test_figure_sweep_walks_the_chart_once_per_row(name, monkeypatch):
     assert n == 12
     assert calls["point"] == 6
     assert shapes["metrics"] == [(6, d)] * 2
-    assert shapes["covariant_matrices"] == [(6, d)] * 2
+    assert shapes["_covariant"] == [(6, d)] * 2
     assert shapes["_stacked_rows"] == [(12, d)]
-    # each covariant matrix reads the components once, besides X itself
-    assert shapes["components"] == [(6, d)] * 4
+    # X is read once per epsilon, for the covariant matrices too
+    assert shapes["components"] == [(6, d)] * 2
     for method in ("eval", "covariant_matrix", "christoffel", "metric",
                    "frame"):
         assert calls[method] == 0

@@ -180,6 +180,11 @@ def test_stacked_chart_data_equal_the_one_row_calls(name, rng):
         for stacked, single, one_row in zip(stacks, one, row):
             assert stacked[i].shape == single.shape
             assert bits(stacked[i]) == bits(single) == bits(one_row)
+    # func and jac take any leading axes, here (3, 20)
+    grid = coords.reshape(3, 20, d)
+    assert bits(field.components(grid)) == bits(stacks[2].reshape(3, 20, d))
+    assert bits(field.jacobians(grid)) == bits(
+        field.jacobians(coords).reshape(3, 20, d, d))
 
 
 def test_stacked_metrics_square_with_the_bits_of_scalar_pow(rng):
