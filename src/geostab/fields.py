@@ -114,8 +114,9 @@ def s2_field(eps: float) -> FieldModel:
     components (eps*cos(phi), 1)."""
 
     def func(c):
-        return _diagonal(c.shape[:-1], 2, eps * np.cos(c.T[0]), 1.0,
-                         rank=1)
+        X = np.zeros(c.shape)
+        X.T[0], X.T[1] = eps * np.cos(c.T[0]), 1.0
+        return X
 
     def jac(c):
         return _diagonal(c.shape[:-1], 2, -eps * np.sin(c.T[0]))
@@ -127,7 +128,9 @@ def h2_field(eps: float) -> FieldModel:
     """Constant-component field on the half-plane: (1, eps)."""
 
     def func(c):
-        return _diagonal(c.shape[:-1], 2, 1.0, eps, rank=1)
+        X = np.zeros(c.shape)
+        X.T[0], X.T[1] = 1.0, eps
+        return X
 
     def jac(c):
         return _diagonal(c.shape[:-1], 2)
@@ -140,7 +143,9 @@ def h2_singular_field() -> FieldModel:
     has a one-dimensional kernel spanned by the field itself."""
 
     def func(c):
-        return _diagonal(c.shape[:-1], 2, 0.0, c.T[1], rank=1)
+        X = np.zeros(c.shape)
+        X.T[1] = c.T[1]
+        return X
 
     def jac(c):
         return _diagonal(c.shape[:-1], 2, 0.0, 1.0)
@@ -153,8 +158,9 @@ def s3_field(eps: float) -> FieldModel:
     components (-eps*sin(psi), 0, 1)."""
 
     def func(c):
-        return _diagonal(c.shape[:-1], 3, -eps * np.sin(c.T[0]), 0.0,
-                         1.0, rank=1)
+        X = np.zeros(c.shape)
+        X.T[0], X.T[2] = -eps * np.sin(c.T[0]), 1.0
+        return X
 
     def jac(c):
         return _diagonal(c.shape[:-1], 3, -eps * np.cos(c.T[0]))

@@ -179,14 +179,14 @@ class ManifoldModel:
                                 np.array([_g_norm(g, first.comps)]))[0])
 
 
-def _diagonal(lead, d, *entries, rank=2):
-    """lead + (d,) * rank arrays with entry i at (i,) * rank, else 0:
-    diagonal matrices, or for rank 1 vectors.  An entry is laid out as
-    coords.T[i] (the lead axes reversed), a scalar at one point."""
-    out = np.zeros(lead + (d,) * rank)
+def _diagonal(lead, d, *entries):
+    """lead + (d, d) diagonal matrices with entry i at (i, i), else 0.  An
+    entry is laid out as coords.T[i] (the lead axes reversed), a scalar
+    at one point."""
+    out = np.zeros(lead + (d, d))
     view = out.T
     for i, entry in enumerate(entries):
-        view[(i,) * rank] = entry
+        view[i, i] = entry
     return out
 
 
@@ -338,7 +338,9 @@ class Sphere2(_EmbeddedSphere):
 
     def metrics(self, coords):
         c = np.asarray(coords, dtype=float).T
-        return _diagonal(c.shape[1:], 2, 1.0, _sq(np.cos(c[0])))
+        g = np.zeros(c.shape[1:] + (2, 2))
+        g.T[0, 0], g.T[1, 1] = 1.0, _sq(np.cos(c[0]))
+        return g
 
     def christoffels(self, coords):
         c = np.asarray(coords, dtype=float).T
@@ -389,8 +391,9 @@ class Sphere3(_EmbeddedSphere):
 
     def metrics(self, coords):
         c = np.asarray(coords, dtype=float).T
-        sp = np.sin(c[0])
-        return _diagonal(c.shape[1:], 3, 1.0, _sq(sp), _sq(sp * np.sin(c[1])))
+        sp, g = np.sin(c[0]), np.zeros(c.shape[1:] + (3, 3))
+        g.T[0, 0], g.T[1, 1], g.T[2, 2] = 1.0, _sq(sp), _sq(sp * np.sin(c[1]))
+        return g
 
     def christoffels(self, coords):
         c = np.asarray(coords, dtype=float).T
@@ -465,7 +468,9 @@ class HalfPlane(ManifoldModel):
 
     def metrics(self, coords):
         c = np.asarray(coords, dtype=float).T
-        return _diagonal(c.shape[1:], 2, *[1.0 / _sq(c[1])] * 2)
+        g = np.zeros(c.shape[1:] + (2, 2))
+        g.T[0, 0] = g.T[1, 1] = 1.0 / _sq(c[1])
+        return g
 
     def christoffels(self, coords):
         c = np.asarray(coords, dtype=float).T
