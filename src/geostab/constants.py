@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (DegenerateDirectionError, GeostabError,
                      NoFiniteAlphaError, NotCocoerciveError,
                      UnsupportedKernelError)
-from .jacobi import _T
+from .jacobi import _T, _norms
 from .manifolds import _quad
 
 RANK_RTOL = 1e-12
@@ -49,12 +49,6 @@ class RegionConstants:
     sup_norm: float
     rho: float
     n_points: int = 0
-
-
-def _norms(M):
-    """np.linalg.norm of each matrix of a stack, with its bits."""
-    flat = M.reshape(len(M), 1, math.prod(M.shape[1:]))
-    return np.sqrt((flat @ _T(flat))[:, 0, 0])
 
 
 def _pick(mask, *stacks) -> tuple:

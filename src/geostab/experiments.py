@@ -17,10 +17,11 @@ constants, and CSV comparison tables over parameter grids.
 
 A table is computed in stacks, and every row takes the same path: one
 stacked chart pass feeds one stacked constants pass for the rows of
-every epsilon (``constants._constant_rows``), one ``_sweep_stack`` call
-builds the frames and step-variation data of every row from the same
+every epsilon (``constants._constant_rows``), one ``gee_jacobi_data``
+call builds the frames and step-variation data of every row from the same
 data, and one lockstep search (``_lockstep_hmax``) finds every row's
-empirical step; ``numerical_hmax`` is that search on a one-row stack.
+empirical step; ``numerical_hmax`` is that search on a one-row stack.  The
+validation checks that data: one more call gives |J(1)| of all its cases.
 """
 
 import math
@@ -32,7 +33,7 @@ import numpy as np
 
 from .bounds import (BoundResult, _bisect_rows, _positive_rows,
                      bound_negative, bound_singular)
-from .constants import _aggregate, _constant_rows, _drain, _norms
+from .constants import _aggregate, _constant_rows, _drain
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
@@ -40,7 +41,7 @@ from .integrators import expansivity_ratio, gee_step
 from .jacobi import (_T, CurvatureSign, curvature_sign, gee_jacobi_data,
                      jacobi_norm, variation_form)
 from .manifolds import (HALF_PLANE, SPHERE2, SPHERE3, ChartPoint,
-                        ManifoldModel, _frames, _g_norm)
+                        ManifoldModel, _g_norm, _quad)
 
 CSV_HEADER = "example,epsilon,base1,base2,h_numeric,h_theory,kappa_at_h,binding"
 
@@ -56,9 +57,6 @@ VALIDATION_H_RANGE = (0.05, 0.5)  # its range of step sizes
 VALIDATION_DELTA = 1e-6  # and its central-difference step
 CROSS_CHECK_RTOL = 1e-8
 SCAN_STEPS = 15  # bracket steps every row of a lockstep search scans
-ALIGN_TOL = 1e-12  # relative size below which a variation block is
-#                    treated as structurally zero (rounding dust sits
-#                    near 1e-15; genuine couplings are order one)
 
 
 # -- example registry --------------------------------------------------------
@@ -201,46 +199,10 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _sweep_stack(manifold: ManifoldModel, x_norm, g, A, X):
-    """(N, scale) of the step-variation form at every row of a table,
-    from the stacks of the rows' |X| and chart data g, A, X.
-
-    Works in frame coefficients: with E the g-orthonormal frame at p led
-    by X, a unit direction ξ has the variation with initial value ξ and
-    initial derivative h N ξ, N = Eᵀ g A E, so its squared-norm change is
-    Δ(h, ξ) = ξᵀ M(h) ξ with M(h) = variation_form(I, h N, h * scale),
-    scale = |X| √|ρ|.  One manifolds._frames call builds the frames of
-    all rows and raises DegenerateDirectionError at the first row that
-    has none.
-    """
-    x_norm, g, A, X = (np.asarray(a, dtype=float) for a in (x_norm, g, A, X))
-    dim, E = X.shape[1], _frames(g, X, x_norm)
-    N = _T(E) @ g @ A @ E
-    scale = x_norm * math.sqrt(abs(manifold.rho))
-    # Structural zeros of the variation blocks.  On the negative branch
-    # the cross term is multiplied by e^(2k), so rounding dust in a block
-    # that is analytically zero (the chart arithmetic of Gamma.X leaves
-    # ~1e-16 residue) would masquerade as exponential growth.  A block
-    # whose norm is rounding-small relative to the whole matrix is
-    # therefore snapped to its exact value: a zero first row, or
-    # perpendicular rows equal to -scale times the identity, which
-    # cancels the growth term.
-    if curvature_sign(manifold.rho) is CurvatureSign.NEGATIVE:
-        R = N / scale[:, None, None]
-        perp = R[:, 1:, :].copy()
-        perp[:, :, 1:] += np.eye(dim - 1)
-        gauge = ALIGN_TOL * (1.0 + _norms(R))
-        aligned, still = _norms(perp) <= gauge, _norms(R[:, :1, :]) <= gauge
-        N[aligned, 1:, 0] = 0.0
-        N[aligned, 1:, 1:] = -scale[aligned, None, None] * np.eye(dim - 1)
-        N[still, 0, :] = 0.0
-    return N, scale
-
-
 def _lockstep_hmax(N, scale, sign: CurvatureSign, points, h_lo: float,
                    h_hi: float, tol_h: float) -> np.ndarray:
     """numerical_hmax at many points in one search, from the stacks N and
-    scale of _sweep_stack at those points.
+    scale of jacobi.gee_jacobi_data at those points.
 
     The bracket takes λ_max of M(h) along the fixed sequence h_lo,
     min(max(1e-3, 2 h_lo) 2^k, h_hi) up to h_hi in two stacked calls:
@@ -250,8 +212,11 @@ def _lockstep_hmax(N, scale, sign: CurvatureSign, points, h_lo: float,
     sequential search; rows calm at h_hi are unconditional (inf).  The
     bisection is the lockstep one of the bound rules (bounds._bisect_rows)
     to relative width tol_h, from λ_max at the bracket ends, so every row
-    ends on the step of the sequential search.
+    ends on the step of the sequential search.  A tol_h that is nan or
+    inf would end every bisection at its bracket's low end, and raises.
     """
+    if not 0.0 <= tol_h < math.inf:
+        raise GeostabError(f"step search needs 0 <= tol_h < inf, got {tol_h}")
     eye = np.eye(N.shape[-1])
 
     def worst(rows, h):
@@ -302,8 +267,8 @@ def numerical_hmax(field: FieldModel, manifold: ManifoldModel, p: ChartPoint,
         raise GeostabError("step search needs finite 0 < h_lo < h_hi")
     X = field.require_moving(p).comps
     g = manifold.metric(p)
-    N, scale = _sweep_stack(manifold, [_g_norm(g, X)], [g],
-                            [field.covariant_matrix(p)], [X])
+    _, N, scale = gee_jacobi_data(manifold, [_g_norm(g, X)], [g],
+                                  [field.covariant_matrix(p)], [X])
     return float(_lockstep_hmax(N, scale, curvature_sign(manifold.rho), [p],
                                 h_lo, h_hi, tol_h)[0])
 
@@ -334,7 +299,7 @@ def _checked_constants(family: ExampleFamily, epsilons: list, points):
     and each of the list points from one stacked pass, with the closed
     forms put in after a cross-check to relative 1e-8, so that a slip in
     either derivation cannot pass silently; |X| and the chart data feed
-    _sweep_stack."""
+    jacobi.gee_jacobi_data."""
     fields = [family.make_field(eps) for eps in epsilons]
     for i, row in enumerate(_constant_rows(fields, family.manifold, points)):
         p, consts = row[0], _aggregate([row], family.manifold.rho)
@@ -400,7 +365,7 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     The empirical steps of all rows come from one lockstep search, and
     so do the certified steps of a positive-curvature family.  Each grid
     point is built once, the constants of all rows come from one stacked
-    pass, and the sweep kernels from one _sweep_stack call on its data.
+    pass, and the sweep kernels from one gee_jacobi_data call on its data.
     """
     family = get_example(example)
     manifold, epsilons = family.manifold, list(epsilons)
@@ -414,7 +379,7 @@ def figure_sweep(example: str, epsilons=DEFAULT_EPSILONS,
     failure = failure if exc is None else exc
     if rows:
         points, consts, *chart = zip(*rows)
-        N, scale = _sweep_stack(manifold, *chart)
+        _, N, scale = gee_jacobi_data(manifold, *chart)
     if failure is not None:
         raise failure
     if not rows:
@@ -473,42 +438,46 @@ def jacobi_validation(example: str, n_cases: int,
                       seed: int = DEFAULT_SEED) -> ValidationResult:
     """Validate the closed-form variation norm on random cases.
 
-    Draws random base points inside a chart-safe box, a random unit
-    variation direction e and step size h in VALIDATION_H_RANGE per case,
-    takes the field at VALIDATION_EPSILON, and compares the closed-form
-    norm of the step variation at its endpoint (jacobi_norm, read from
-    variation_form, the form numerical_hmax bisects) against a central
-    difference through actual steps: the base point is moved to
-    exp_p(±Δ e) with Δ = VALIDATION_DELTA, both neighbours are
-    stepped, and the derivative is formed from the inverse exponential
-    at the stepped center.
+    Draws a random base point inside a chart-safe box, a random unit
+    direction e and a step h in VALIDATION_H_RANGE per case, with the
+    field at VALIDATION_EPSILON.  |J(1)| of all cases comes from one
+    stacked chart call and one gee_jacobi_data call, the data
+    numerical_hmax bisects: jacobi_norm(ξ, h N ξ, h scale), ξ = Eᵀ g e.
+    Each case compares it with a central difference through actual steps:
+    the base point is moved to exp_p(±Δ e), Δ = VALIDATION_DELTA, both
+    neighbours are stepped, and the derivative is formed from the inverse
+    exponential at the stepped center.
     """
     family = get_example(example)
     model = family.manifold
     field = family.make_field(VALIDATION_EPSILON)
     rng = np.random.default_rng(seed)
     t0 = time.monotonic()
-    errs = np.zeros(n_cases)
+    points, raw, h = [], np.empty((n_cases, model.dim)), np.empty(n_cases)
     for i in range(n_cases):
-        coords = tuple(float(rng.uniform(lo, hi))
-                       for (lo, hi) in family.validation_box)
-        p = model.point(coords)
-        raw = rng.normal(size=model.dim)
-        e = model.tangent(p, raw)
-        e = model.tangent(p, e.comps / model.norm(e))
-        h = float(rng.uniform(*VALIDATION_H_RANGE))
-        closed = jacobi_norm(gee_jacobi_data(field, p, e, h), 1.0)
-        center = gee_step(field, p, h)
-        plus = gee_step(field, model.exp(
-            p, model.tangent(p, VALIDATION_DELTA * e.comps)), h)
-        minus = gee_step(field, model.exp(
-            p, model.tangent(p, -VALIDATION_DELTA * e.comps)), h)
-        diff = (model.log(center, plus).comps
-                - model.log(center, minus).comps) / (2.0 * VALIDATION_DELTA)
-        errs[i] = abs(closed - model.norm(model.tangent(center, diff)))
-    elapsed = time.monotonic() - t0
-    max_error = float(errs.max()) if n_cases else 0.0
-    rms_error = float(np.sqrt(np.mean(errs ** 2))) if n_cases else 0.0
-    return ValidationResult(example=example, n_cases=n_cases, seed=seed,
-                            max_error=max_error, rms_error=rms_error,
-                            elapsed=elapsed)
+        points.append(model.point([rng.uniform(lo, hi)
+                                   for lo, hi in family.validation_box]))
+        raw[i], h[i] = rng.normal(size=model.dim), rng.uniform(
+            *VALIDATION_H_RANGE)
+    errs = np.zeros(n_cases)
+    if n_cases:
+        coords = np.array([p.coords for p in points])
+        X, g = field.components(coords), model.metrics(coords)
+        E, N, scale = gee_jacobi_data(model, np.sqrt(_quad(X, g, X)), g,
+                                      field._covariant(coords, X), X)
+        e = raw / np.sqrt(_quad(raw, g, raw))[:, None]
+        xi = (_T(E) @ g @ e[:, :, None])[:, :, 0]
+        closed = jacobi_norm(xi, h[:, None] * (N @ xi[:, :, None])[:, :, 0],
+                             h * scale, curvature_sign(model.rho))
+        for i, (p, step) in enumerate(zip(points, h.tolist())):
+            center = gee_step(field, p, step)
+            plus, minus = (gee_step(field, model.exp(p, model.tangent(
+                p, s * VALIDATION_DELTA * e[i])), step) for s in (1, -1))
+            diff = (model.log(center, plus).comps - model.log(
+                center, minus).comps) / (2.0 * VALIDATION_DELTA)
+            errs[i] = abs(closed[i] - model.norm(model.tangent(center, diff)))
+    return ValidationResult(
+        example=example, n_cases=n_cases, seed=seed,
+        max_error=float(errs.max(initial=0.0)),
+        rms_error=float(np.sqrt(np.sum(errs ** 2) / max(n_cases, 1))),
+        elapsed=time.monotonic() - t0)

@@ -9,8 +9,10 @@ in a parallel orthonormal frame e_1(t), ..., e_d(t) with e_1 = u/|u| as
 where c(t), s(t) are cosine-like and sine-like functions of kappa*t and
 kappa = sqrt(|rho|)*|u|.  The module provides the scalar functions
 f1, f2, f3 of kappa built from c and s, the norm change |J(1)|^2 - |J(0)|^2
-as one quadratic form in the frame coefficients (|J(t)| is read from it
-too), and the variation data generated by one explicit geodesic Euler step.
+as one quadratic form in the frame coefficients (|J(1)| is read from it
+too), and the one builder of the variation data of an explicit geodesic
+Euler step, on a stack of points, that the step search bisects and the
+finite-difference validation checks.
 
 Near kappa = 0 the f-functions suffer catastrophic cancellation; below
 kappa = 1 they switch to series evaluation.
@@ -18,12 +20,11 @@ kappa = 1 they switch to series evaluation.
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeostabError
-from .manifolds import ChartPoint, TangentVector, _frames, _g_norm
+from .manifolds import _frames
 
 # Below SERIES_KAPPA the direct sinh(u)/u - 1 and 1 - sin(u)/u cancel
 # (a relative error of 1e-16 / u^2); their series, cut after u^18, are
@@ -35,6 +36,9 @@ _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 10))
 _SINC_SERIES = tuple((-1) ** k * c for k, c in enumerate(_SINHC_SERIES))
 SPLIT_KAPPA = 1.0
 GROWTH_KAPPA_CAP = 350.0  # expm1(2*kappa) leaves the double range near 354.9
+ALIGN_TOL = 1e-12  # relative size below which a variation block is
+#                    treated as structurally zero (rounding dust sits
+#                    near 1e-15; genuine couplings are order one)
 
 
 class CurvatureSign(enum.Enum):
@@ -175,45 +179,6 @@ def curvature_penalty(kappa, sign: CurvatureSign):
     return float(out) if out.ndim == 0 else out
 
 
-# -- variation data ----------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class JacobiData:
-    """Frame coefficients of a variation field and its covariant rate at
-    t = 0, along a geodesic of curvature scale kappa."""
-
-    a: np.ndarray
-    b: np.ndarray
-    kappa: float
-    sign: CurvatureSign
-
-
-def _check_shared_base(*vs):
-    base = vs[0].base
-    for v in vs[1:]:
-        if v.base.model is not base.model or not np.array_equal(
-                v.base.coords, base.coords):
-            raise GeostabError("tangent vectors must share a base point")
-    return base
-
-
-def variation_data(v: TangentVector, w: TangentVector,
-                   u: TangentVector) -> JacobiData:
-    """Frame decomposition of the variation with J(0) = v and covariant
-    rate w at t = 0, along the geodesic with initial velocity u."""
-    base = _check_shared_base(v, w, u)
-    model = base.model
-    g = model.metric(base)
-    norm = _g_norm(g, u.comps)
-    # the frame of ManifoldModel.frame, which raises on a degenerate u
-    E = _frames(g[None], u.comps[None], np.array([norm]))[0]
-    a = E.T @ g @ v.comps
-    b = E.T @ g @ w.comps
-    kappa = float(np.sqrt(abs(model.rho)) * norm)
-    return JacobiData(a, b, kappa, curvature_sign(model.rho))
-
-
 def _rows(x):
     """The leading row of x (the along-geodesic coefficients) and the
     rest; rows are the first axis of a vector, the second-to-last of a
@@ -225,6 +190,12 @@ def _rows(x):
 
 def _T(x):
     return x if np.ndim(x) < 2 else x.swapaxes(-1, -2)
+
+
+def _norms(M):
+    """np.linalg.norm of each matrix of a stack, with its bits."""
+    flat = M.reshape(len(M), 1, math.prod(M.shape[1:]))
+    return np.sqrt((flat @ _T(flat))[:, 0, 0])
 
 
 def _sym(x):
@@ -308,39 +279,57 @@ def variation_form(a, b, kappa, sign: CurvatureSign):
     return out
 
 
-def jacobi_norm(data: JacobiData, t: float) -> float:
-    """|J(t)| = sqrt(|a|^2 + variation_form(a, t*b, |t|*kappa)), as J(t)
-    of (a, b, kappa) is J(1) of (a, t*b, |t|*kappa).  Raises GeostabError
-    on negative curvature past |t|*kappa = GROWTH_KAPPA_CAP, where
-    variation_form gives only a rescaled form.  The sum cancels near a
-    zero of J(t), where only an absolute error of about sqrt(machine
-    epsilon) * |a| is left.  a and t*b are first scaled by the power of
-    two that brings their largest component into [0.5, 1), so the squares
-    neither underflow nor overflow; the form is quadratic, so the scaling
-    is exact."""
-    kappa = abs(t) * data.kappa
-    if data.sign is CurvatureSign.NEGATIVE and kappa > GROWTH_KAPPA_CAP:
-        raise GeostabError(f"no |J(t)| past kappa*|t| = {GROWTH_KAPPA_CAP:g} "
-                           f"on negative curvature (got {kappa:.6g})")
-    a, b = data.a, t * data.b
-    largest = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    exp = math.frexp(float(largest))[1]
-    a, b = np.ldexp(a, -exp), np.ldexp(b, -exp)
-    change = variation_form(a, b, kappa, data.sign)
-    return math.ldexp(math.sqrt(max(float(a @ a) + change, 0.0)), exp)
+def jacobi_norm(a, b, kappa, sign: CurvatureSign) -> np.ndarray:
+    """|J(1)| = sqrt(|a|^2 + variation_form(a, b, kappa)) at each row of
+    the (n, d) stacks a, b and (n,) kappa, in one variation_form call,
+    each row first scaled exactly by the power of two that brings its
+    largest entry into [0.5, 1).  Raises GeostabError on negative
+    curvature past GROWTH_KAPPA_CAP, where the form is only rescaled.
+    Near a zero of J(1) an absolute error of √(machine ε)·|a| is left."""
+    a, b, kappa = (np.asarray(x, dtype=float) for x in (a, b, kappa))
+    if sign is CurvatureSign.NEGATIVE and np.any(kappa > GROWTH_KAPPA_CAP):
+        raise GeostabError(f"no |J(1)| past kappa = {GROWTH_KAPPA_CAP:g} "
+                           f"on negative curvature (got {kappa.max():.6g})")
+    exp = np.frexp(np.abs(np.hstack([a, b])).max(axis=1, initial=0.0))[1]
+    a, b = np.ldexp(a, -exp[:, None]), np.ldexp(b, -exp[:, None])
+    change = variation_form(a[:, :, None], b[:, :, None], kappa, sign)
+    square = (a[:, None, :] @ a[:, :, None] + change)[:, 0, 0]
+    return np.ldexp(np.sqrt(np.maximum(square, 0.0)), exp)
 
 
-def gee_jacobi_data(field, p: ChartPoint, direction: TangentVector,
-                    h: float) -> JacobiData:
-    """Variation data of one explicit geodesic Euler step.
+def gee_jacobi_data(manifold, x_norm, g, A, X):
+    """(E, N, scale) of the step-variation form of one explicit geodesic
+    Euler step at every row of a stack of points, from the stacks of the
+    rows' |X| and chart data g, A = ∇X and X.
 
-    Perturbing the start point of the step exp_p(h*X|_p) along the unit
-    direction e produces a variation field with J(0) = e and covariant
-    rate h * (grad X) e at t = 0, along the geodesic with initial
-    velocity u = h*X|_p.
+    Works in frame coefficients: with E the g-orthonormal frame at p led
+    by X, a unit direction ξ has the variation with initial value ξ and
+    initial derivative h N ξ, N = Eᵀ g A E, so its squared-norm change is
+    Δ(h, ξ) = ξᵀ M(h) ξ with M(h) = variation_form(I, h N, h * scale),
+    scale = |X| √|ρ|, and its |J(1)| is jacobi_norm(ξ, h N ξ, h * scale).
+    One manifolds._frames call builds the frames of all rows and raises
+    DegenerateDirectionError at the first row that has none.
     """
-    X = field.require_moving(p)
-    A = field.covariant_matrix(p)
-    w = TangentVector(p, h * (A @ direction.comps))
-    u = TangentVector(p, h * X.comps)
-    return variation_data(direction, w, u)
+    x_norm, g, A, X = (np.asarray(a, dtype=float) for a in (x_norm, g, A, X))
+    dim, E = X.shape[1], _frames(g, X, x_norm)
+    N = _T(E) @ g @ A @ E
+    scale = x_norm * math.sqrt(abs(manifold.rho))
+    # Structural zeros of the variation blocks.  On the negative branch
+    # the cross term is multiplied by e^(2k), so rounding dust in a block
+    # that is analytically zero (the chart arithmetic of Gamma.X leaves
+    # ~1e-16 residue) would masquerade as exponential growth.  A block
+    # whose norm is rounding-small relative to the whole matrix is
+    # therefore snapped to its exact value: a zero first row or column (the
+    # dust of ∇X X = 0 alone would make X's direction expansive), or
+    # perpendicular rows equal to -scale times I, which cancel the growth.
+    if curvature_sign(manifold.rho) is CurvatureSign.NEGATIVE:
+        R = N / scale[:, None, None]
+        perp = R[:, 1:, :].copy()
+        perp[:, :, 1:] += np.eye(dim - 1)
+        gauge = ALIGN_TOL * (1.0 + _norms(R))
+        aligned, still = _norms(perp) <= gauge, _norms(R[:, :1, :]) <= gauge
+        N[aligned, 1:, 0] = 0.0
+        N[aligned, 1:, 1:] = -scale[aligned, None, None] * np.eye(dim - 1)
+        N[still, 0, :] = 0.0
+        N[_norms(R[:, :, :1]) <= gauge, :, 0] = 0.0
+    return E, N, scale

@@ -157,3 +157,14 @@ def linear_field(manifold, matrix, name="linear") -> FieldModel:
         return np.broadcast_to(M, c.shape + c.shape[-1:])
 
     return FieldModel(manifold, func, jac, name=name)
+
+
+def affine_field(manifold, p, a, nabla):
+    """The field a + J(x - p) with J = nabla - Γ(p)·a, on coordinate
+    stacks: X(p) = a and ∇X(p) = nabla."""
+    a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
+    J = np.asarray(nabla, dtype=float) - np.einsum(
+        "ijk,k->ij", manifold.christoffels(p), a)
+    return FieldModel(manifold, lambda c: a + (J @ (c - p)[..., None])[..., 0],
+                      lambda c: np.broadcast_to(J, c.shape + c.shape[-1:]),
+                      name="affine")

@@ -10,8 +10,17 @@ exact largest eigenvalue must dominate it and agree with it closely.
 The point kernel builds the step-variation data of one point at a time,
 with the per-point Gram-Schmidt frame (``sequential_frame``, also the
 reference for the stacked frames of ``geostab.manifolds``) and the
-structural-zero pinning on one matrix; the stacked kernels of
-``geostab.experiments`` must equal it, bit for bit.
+structural-zero pinning on one matrix; the stacked kernel
+``geostab.jacobi.gee_jacobi_data`` must equal it, bit for bit.
+
+The per-case variation data (``JacobiData``) decomposes one variation with
+J(0) = v and covariant rate w along the geodesic with initial velocity u
+in the frame led by u (``variation_data``), and ``point_gee_jacobi_data``
+builds it for one explicit step and one direction, as a = Eᵀg e and
+b = h Eᵀg A e without the frame matrix N = EᵀgAE or the structural-zero
+pinning; ``point_jacobi_norm`` reads |J(t)| of one such case.  They are
+the independent per-case reference of the stacked |J(1)| of
+``geostab.jacobi.jacobi_norm`` and of the validation.
 
 The sequential step search is the one-point search as a plain loop:
 scalar λ_max calls on the doubling bracket, then plain scalar bisection.
@@ -51,6 +60,7 @@ step rule reads it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +70,14 @@ from geostab.errors import (BracketError, DegenerateDirectionError,
                             GeostabError, NoBoundError, NoFiniteAlphaError,
                             NonconvergenceError, NotCocoerciveError,
                             UnsupportedKernelError)
-from geostab.experiments import (ALIGN_TOL, CSV_HEADER, DEFAULT_H_CAP,
-                                 DEFAULT_H_LO, SweepRow, _sweep_stack,
-                                 unit_directions)
+from geostab.experiments import (CSV_HEADER, DEFAULT_H_CAP, DEFAULT_H_LO,
+                                 SweepRow, unit_directions)
 from geostab.integrators import GIE_MAX_ITER, GIE_TOL, _gie_defect, gee_step
-from geostab.jacobi import (CurvatureSign, _one_minus_sinc, _sinhc_minus_one,
-                            curvature_sign, variation_data, variation_form)
-from geostab.manifolds import DEGENERATE_NORM, TangentVector, _g_norm
+from geostab.jacobi import (ALIGN_TOL, GROWTH_KAPPA_CAP, CurvatureSign,
+                            _one_minus_sinc, _sinhc_minus_one,
+                            curvature_sign, gee_jacobi_data, variation_form)
+from geostab.manifolds import (DEGENERATE_NORM, TangentVector, _frames,
+                               _g_norm)
 
 DEFAULT_DIRS = {2: 512, 3: 2048}
 REFINE_POINTS = 17  # local grid points per axis, spacing width / 8
@@ -113,7 +124,7 @@ def sequential_frame(g, first):
 
 def point_kernel(manifold, p, x_norm, g, A, X):
     """(N, scale) of the step-variation form at one point, the reference
-    for the rows of ``_sweep_stack``: the frame E at p led by X from
+    for the rows of ``gee_jacobi_data``: the frame E at p led by X from
     sequential_frame, N = Eᵀ g A E and scale = |X| √|ρ|, with the
     structural zeros of the negative branch pinned on this one matrix."""
     E = sequential_frame(g, X)
@@ -130,6 +141,8 @@ def point_kernel(manifold, p, x_norm, g, A, X):
             N[1:, 1:] = -scale * np.eye(dim - 1)
         if float(np.linalg.norm(R[0, :])) <= ALIGN_TOL * gauge:
             N[0, :] = 0.0
+        if float(np.linalg.norm(R[:, 0])) <= ALIGN_TOL * gauge:
+            N[:, 0] = 0.0
     return N, scale
 
 
@@ -138,8 +151,8 @@ def sweep_kernel(field, manifold, p):
     builds."""
     X = field.require_moving(p).comps
     g = manifold.metric(p)
-    N, scale = _sweep_stack(manifold, [_g_norm(g, X)], [g],
-                            [field.covariant_matrix(p)], [X])
+    _, N, scale = gee_jacobi_data(manifold, [_g_norm(g, X)], [g],
+                                  [field.covariant_matrix(p)], [X])
     return N[0], scale[0], curvature_sign(manifold.rho)
 
 
@@ -191,6 +204,80 @@ def frame_vectors(frame):
 def directional_covariant(field, v):
     """(∇X) v at the base of v."""
     return TangentVector(v.base, field.covariant_matrix(v.base) @ v.comps)
+
+
+@dataclass(frozen=True, eq=False)
+class JacobiData:
+    """Frame coefficients of a variation field and its covariant rate at
+    t = 0, along a geodesic of curvature scale kappa."""
+
+    a: np.ndarray
+    b: np.ndarray
+    kappa: float
+    sign: CurvatureSign
+
+
+def _check_shared_base(*vs):
+    base = vs[0].base
+    for v in vs[1:]:
+        if v.base.model is not base.model or not np.array_equal(
+                v.base.coords, base.coords):
+            raise GeostabError("tangent vectors must share a base point")
+    return base
+
+
+def variation_data(v: TangentVector, w: TangentVector,
+                   u: TangentVector) -> JacobiData:
+    """Frame decomposition of the variation with J(0) = v and covariant
+    rate w at t = 0, along the geodesic with initial velocity u."""
+    base = _check_shared_base(v, w, u)
+    model = base.model
+    g = model.metric(base)
+    norm = _g_norm(g, u.comps)
+    # the frame of ManifoldModel.frame, which raises on a degenerate u
+    E = _frames(g[None], u.comps[None], np.array([norm]))[0]
+    a = E.T @ g @ v.comps
+    b = E.T @ g @ w.comps
+    kappa = float(np.sqrt(abs(model.rho)) * norm)
+    return JacobiData(a, b, kappa, curvature_sign(model.rho))
+
+
+def point_jacobi_norm(data: JacobiData, t: float) -> float:
+    """|J(t)| = sqrt(|a|^2 + variation_form(a, t*b, |t|*kappa)), as J(t)
+    of (a, b, kappa) is J(1) of (a, t*b, |t|*kappa).  Raises GeostabError
+    on negative curvature past |t|*kappa = GROWTH_KAPPA_CAP, where
+    variation_form gives only a rescaled form.  The sum cancels near a
+    zero of J(t), where only an absolute error of about sqrt(machine
+    epsilon) * |a| is left.  a and t*b are first scaled by the power of
+    two that brings their largest component into [0.5, 1), so the squares
+    neither underflow nor overflow; the form is quadratic, so the scaling
+    is exact."""
+    kappa = abs(t) * data.kappa
+    if data.sign is CurvatureSign.NEGATIVE and kappa > GROWTH_KAPPA_CAP:
+        raise GeostabError(f"no |J(t)| past kappa*|t| = {GROWTH_KAPPA_CAP:g} "
+                           f"on negative curvature (got {kappa:.6g})")
+    a, b = data.a, t * data.b
+    largest = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    exp = math.frexp(float(largest))[1]
+    a, b = np.ldexp(a, -exp), np.ldexp(b, -exp)
+    change = variation_form(a, b, kappa, data.sign)
+    return math.ldexp(math.sqrt(max(float(a @ a) + change, 0.0)), exp)
+
+
+def point_gee_jacobi_data(field, p, direction: TangentVector,
+                          h: float) -> JacobiData:
+    """Variation data of one explicit geodesic Euler step.
+
+    Perturbing the start point of the step exp_p(h*X|_p) along the unit
+    direction e produces a variation field with J(0) = e and covariant
+    rate h * (grad X) e at t = 0, along the geodesic with initial
+    velocity u = h*X|_p.
+    """
+    X = field.require_moving(p)
+    A = field.covariant_matrix(p)
+    w = TangentVector(p, h * (A @ direction.comps))
+    u = TangentVector(p, h * X.comps)
+    return variation_data(direction, w, u)
 
 
 def sinc(u):

@@ -2,14 +2,17 @@
 
 Oracles: the certified-step equations re-solved by dense scanning with
 independently coded right-hand sides (the scalar kernels themselves are
-validated against high-precision references elsewhere).
+validated against high-precision references elsewhere), and the exact
+worst-direction step limit of random fields, which each rule's certified
+step must not exceed.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geostab.bounds as bounds
@@ -27,19 +30,23 @@ from geostab.bounds import (
     bound_singular,
     euclidean_bound,
 )
-from geostab.constants import RegionConstants
+from geostab.constants import RegionConstants, point_constants
 from geostab.errors import (
     GeostabError,
     InconsistentConstantsError,
     NoBoundError,
+    UnsupportedKernelError,
 )
-from geostab.experiments import figure_sweep
+from geostab.experiments import figure_sweep, numerical_hmax
 from geostab.jacobi import CurvatureSign, curvature_penalty, f_functions
+from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3
 
-from oracles import (separate_curvature_penalty, separate_damped_penalty,
-                     separate_f_functions, separate_kappa_coth_minus_one,
-                     separate_negative_rhs, plain_bisection,
-                     sequential_bound_positive)
+from conftest import affine_field
+from oracles import (kernel_worst, separate_curvature_penalty,
+                     separate_damped_penalty, separate_f_functions,
+                     separate_kappa_coth_minus_one, separate_negative_rhs,
+                     plain_bisection, sequential_bound_positive,
+                     sweep_kernel)
 
 POS = CurvatureSign.POSITIVE
 NEG = CurvatureSign.NEGATIVE
@@ -733,6 +740,103 @@ def test_singular_rule_input_validation():
         bound_singular(make_consts(rho=-1.0), (0.0, 1.0))
     with pytest.raises(GeostabError):
         bound_singular(make_consts(rho=-1.0), (2.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# soundness on random fields
+# ---------------------------------------------------------------------------
+
+FIELD_BOXES = {
+    "s2": ((-1.2, 1.2), (0.0, 2.0 * math.pi)),
+    "s3": ((0.35, math.pi - 0.35),) * 2 + ((0.0, 2.0 * math.pi),),
+    "h2": ((-2.0, 2.0), (0.2, 5.0)),
+}
+FIELD_TOL_H = 1e-6
+FIELD_ROUNDING = 1e-12  # bound on λ_max(M(h_theory)) where a rule is exact
+
+
+@st.composite
+def random_fields(draw, manifold, tilt=None):
+    """(field, p): the affine field with X(p) = a and ∇X(p) = g^-½ B g^½
+    at a random point p, so that B is ∇X in a g-orthonormal basis.  The
+    orthonormal components y = g^½ a have a random direction and a length
+    in [0.2, 3].  B = -(L Lᵀ + δ I) + (K - Kᵀ)/2 gives a cocoercive field;
+    with tilt, a strategy of angles on H², B = -c (I - u uᵀ) is singular
+    with its kernel u at the drawn angle from y."""
+    d = manifold.dim
+    p = manifold.point([draw(st.floats(lo, hi))
+                        for lo, hi in FIELD_BOXES[manifold.name]])
+    w, q = np.linalg.eigh(manifold.metric(p))
+    half, half_inv = (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+
+    def matrix(n, bound):
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=n,
+                                      max_size=n))).reshape(-1, d)
+
+    y = matrix(d, 1.0)[0]
+    assume(np.linalg.norm(y) > 0.1)
+    y *= draw(st.floats(0.2, 3.0)) / np.linalg.norm(y)
+    if tilt is None:
+        L, K = matrix(d * d, 1.5), matrix(d * d, 2.0)
+        B = -(L @ L.T + draw(st.floats(0.05, 1.0)) * np.eye(d)) + (K - K.T) / 2
+    else:
+        angle = math.atan2(y[1], y[0]) + draw(tilt)
+        u = np.array([math.cos(angle), math.sin(angle)])
+        B = -draw(st.floats(0.2, 5.0)) * (np.eye(2) - np.outer(u, u))
+    return affine_field(manifold, p.coords, half_inv @ y,
+                        half_inv @ B @ half), p
+
+
+RULES = {
+    "positive": (st.sampled_from([SPHERE2, SPHERE3]), None, bound_positive,
+                 {"curvature"}),
+    "negative": (st.just(HALF_PLANE), None, bound_negative,
+                 {"flat", "curvature"}),
+    "singular": (st.just(HALF_PLANE), st.just(0.0),
+                 lambda c: bound_singular(c, (c.sup_norm, c.sup_norm)),
+                 {"curvature", "unconditional"}),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_rules_are_sound_on_random_fields(rule):
+    """On random fields the certified step of each rule, at the constants
+    of one point, stays within the empirical limit: h_theory <= h_numeric
+    (1 + tol_h), since h_numeric is the low end of a bracket of relative
+    width tol_h, or else λ_max(M(h_theory)) <= FIELD_ROUNDING, where an
+    exact rule meets the limit inside that bracket.  The positive rule
+    runs on s2 and s3, the negative and singular rules (kernel along X)
+    on H²; the draws reach the listed bindings."""
+    manifolds, tilt, bound, bindings = RULES[rule]
+    seen = collections.Counter()
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def check(data):
+        m = data.draw(manifolds)
+        field, p = data.draw(random_fields(m, tilt))
+        res = bound(point_constants(field, m, p))
+        h_numeric = numerical_hmax(field, m, p, tol_h=FIELD_TOL_H)
+        seen[res.binding] += 1
+        if math.isinf(res.h_max):
+            assert math.isinf(h_numeric)
+        elif res.h_max > h_numeric * (1.0 + FIELD_TOL_H):
+            kernel = sweep_kernel(field, m, p)
+            assert kernel_worst(kernel, res.h_max) <= FIELD_ROUNDING
+
+    check()
+    assert bindings <= set(seen), seen
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=random_fields(HALF_PLANE, st.floats(1e-3, math.pi / 2)))
+def test_singular_rule_refuses_random_kernels_off_the_field(case):
+    """A singular ∇X whose kernel is not along X has no certified step:
+    its constants raise UnsupportedKernelError."""
+    field, p = case
+    with pytest.raises(UnsupportedKernelError):
+        point_constants(field, HALF_PLANE, p)
 
 
 # ---------------------------------------------------------------------------

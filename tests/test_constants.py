@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    affine_field,
     brute_alpha,
     brute_log_g_norm,
     brute_sigma,
@@ -679,17 +680,6 @@ def test_stacked_constants_keep_the_first_error_of_a_box():
             assert info.value.points == [pts[1], pts[3]]
         assert outcome(region_constants, field, manifold, pts) == outcome(
             sequential_region_constants, field, manifold, pts)
-
-
-def affine_field(manifold, p, a, nabla):
-    """The field a + J(x - p) with J = nabla - Γ(p)·a, on coordinate
-    stacks: X(p) = a and ∇X(p) = nabla."""
-    a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
-    J = np.asarray(nabla, dtype=float) - np.einsum(
-        "ijk,k->ij", manifold.christoffels(p), a)
-    return FieldModel(manifold, lambda c: a + (J @ (c - p)[..., None])[..., 0],
-                      lambda c: np.broadcast_to(J, c.shape + c.shape[-1:]),
-                      name="affine")
 
 
 KERNEL_OFF_FIELD = "restricted inverse bound needs the kernel along the field"

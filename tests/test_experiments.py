@@ -21,12 +21,14 @@ from geostab.errors import (BracketError, ChartDomainError,
                             DegenerateDirectionError, GeostabError,
                             InconsistentConstantsError, NotCocoerciveError,
                             StationaryPointError)
+import geostab.experiments as experiments
 from geostab.experiments import (
     CSV_HEADER,
     EXAMPLES,
+    VALIDATION_EPSILON,
+    VALIDATION_H_RANGE,
     SweepRow,
     _lockstep_hmax,
-    _sweep_stack,
     figure_sweep,
     get_example,
     jacobi_validation,
@@ -40,13 +42,14 @@ from geostab.experiments import (
 )
 from geostab import constants
 from geostab.fields import FieldModel
-from geostab.jacobi import gee_jacobi_data, jacobi_norm
+from geostab.jacobi import gee_jacobi_data
 from geostab.manifolds import Euclidean, ManifoldModel
 
 from conftest import linear_field, make_field
-from oracles import (direction_sweep_delta, point_kernel, refined_sweep,
-                     rows_from_csv, sequential_hmax, stack_kernels,
-                     sweep_deltas, sweep_kernel)
+from oracles import (direction_sweep_delta, point_gee_jacobi_data,
+                     point_jacobi_norm, point_kernel, refined_sweep,
+                     rows_from_csv, sequential_frame, sequential_hmax,
+                     stack_kernels, sweep_deltas, sweep_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +183,18 @@ def draw_stack_row(name, data, i):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), n=st.integers(1, 12))
 def test_sweep_stack_rows_equal_the_point_kernel(name, data, n):
-    """Every row of one _sweep_stack call equals the point kernel, bit for
-    bit: on the spheres, on H² with its pinned rows (every h2-singular
-    row), on an s3 field along a chart axis (a frame call at its point)
-    and on Euclidean fields (ρ = 0, scale 0)."""
+    """Every row of one gee_jacobi_data call equals the point kernel, bit
+    for bit, and its frame the sequential frame: on the spheres, on H² with
+    its pinned rows (every h2-singular row), on an s3 field along a chart
+    axis (a frame call at its point) and on Euclidean fields (ρ = 0,
+    scale 0)."""
     rows = [draw_stack_row(name, data, i) for i in range(n)]
     m = rows[0][0]
     _, points, g, A, X = zip(*rows)
     x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
-    N, scale = _sweep_stack(m, x_norm, g, A, X)
+    E, N, scale = gee_jacobi_data(m, x_norm, g, A, X)
     for i, row in enumerate(rows):
+        assert E[i].tobytes() == sequential_frame(g[i], X[i]).tobytes()
         want_N, want_scale = point_kernel(*row[:2], x_norm[i], *row[2:])
         assert N[i].tobytes() == want_N.tobytes()
         assert scale[i] == want_scale
@@ -214,9 +219,10 @@ def test_sweep_stack_frames_chart_axis_rows_and_raises_at_a_vanishing_row(
     x_norm = [m.norm(m.tangent(p, x)) for p, x in zip(points, X)]
     frames = [m.frame(p, m.tangent(p, x)).matrix for p, x in zip(points, X)]
     monkeypatch.setattr(ManifoldModel, "frame", None)
-    N, _ = _sweep_stack(m, x_norm, g, A, X)
+    E_all, N, _ = gee_jacobi_data(m, x_norm, g, A, X)
     for i, p in enumerate(points):
         E = frames[i]
+        assert E_all[i].tobytes() == E.tobytes()
         assert N[i].tobytes() == (E.T @ g[i] @ A[i] @ E).tobytes()
         assert N[i].tobytes() == point_kernel(m, p, x_norm[i], g[i], A[i],
                                               X[i])[0].tobytes()
@@ -225,7 +231,7 @@ def test_sweep_stack_frames_chart_axis_rows_and_raises_at_a_vanishing_row(
     for k, norm in ((0, "0.000e+00"), (3, "1.000e-16")):
         with pytest.raises(DegenerateDirectionError, match=re.escape(
                 f"cannot normalize direction with norm {norm}")):
-            _sweep_stack(m, x_norm[k:], g[k:], A[k:], X[k:])
+            gee_jacobi_data(m, x_norm[k:], g[k:], A[k:], X[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +267,8 @@ def test_numerical_hmax_exact_to_tol_h():
         th, ph = angles
         xi = np.array([math.sin(th) * math.cos(ph),
                        math.sin(th) * math.sin(ph), math.cos(th)])
-        data = gee_jacobi_data(field, p, m.tangent(p, E @ xi), h)
-        return jacobi_norm(data, 1.0) ** 2 - 1.0
+        data = point_gee_jacobi_data(field, p, m.tangent(p, E @ xi), h)
+        return point_jacobi_norm(data, 1.0) ** 2 - 1.0
 
     def worst(h):
         # Δ(ξ) = Δ(-ξ): a half sphere of starting points suffices
@@ -463,6 +469,23 @@ def test_numerical_hmax_rejects_an_unusable_bracket(h_lo, h_hi):
         numerical_hmax(field, m, m.point((0.9, 0.0)), h_lo=h_lo, h_hi=h_hi)
 
 
+@pytest.mark.parametrize("tol_h", [math.nan, math.inf, -1e-6])
+def test_step_search_rejects_an_unusable_tol_h(tol_h):
+    """A nan or inf tol_h ended every bisection at its bracket's low end:
+    1.024 for the limit 1.1654 at the s2 default base.  The search and a
+    table raise instead; tol_h = 0 bisects as far as doubles go."""
+    family = get_example("s2")
+    m, field = family.manifold, family.make_field(1.0)
+    p = m.point(family.to_coords(*family.default_base))
+    with pytest.raises(GeostabError, match="tol_h"):
+        numerical_hmax(field, m, p, tol_h=tol_h)
+    with pytest.raises(GeostabError, match="tol_h"):
+        figure_sweep("s2", epsilons=(1.0,), base_grid=2, tol_h=tol_h)
+    exact = numerical_hmax(field, m, p, tol_h=0.0)
+    assert exact == pytest.approx(1.1654344, rel=1e-7)
+    assert numerical_hmax(field, m, p) <= exact
+
+
 # ---------------------------------------------------------------------------
 # theory side
 # ---------------------------------------------------------------------------
@@ -656,3 +679,54 @@ def test_jacobi_validation_small_runs():
 def test_jacobi_validation_zero_cases():
     res = jacobi_validation("s2", n_cases=0)
     assert res.max_error == 0.0 and res.rms_error == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_jacobi_validation_reads_the_one_stacked_kernel(name, monkeypatch):
+    """The closed form of all 200 cases takes one gee_jacobi_data call and
+    one jacobi_norm call, on the stacked chart data, and no one-point
+    frame, metric or covariant_matrix call before the finite-difference
+    side takes its first step.  Each |J(1)| equals the per-case oracle
+    (a = Eᵀg e and b = h Eᵀg A e, without N = EᵀgAE or the pinning) of the
+    same draws to 1e-13 relative."""
+    calls, at_first_step, norms = collections.Counter(), [], []
+
+    def count(owner, method, keep=None):
+        inner = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            calls[method] += 1
+            out = inner(*args, **kwargs)
+            if keep is not None:
+                keep.append(out)
+            return out
+        monkeypatch.setattr(owner, method, counted)
+
+    family = get_example(name)
+    model = family.manifold
+    count(experiments, "gee_jacobi_data")
+    count(experiments, "jacobi_norm", norms)
+    count(FieldModel, "covariant_matrix")
+    count(type(model), "metric")
+    count(ManifoldModel, "frame")
+    step = experiments.gee_step
+
+    def first_step(*args):
+        if not at_first_step:
+            at_first_step.append(dict(calls))
+        return step(*args)
+    monkeypatch.setattr(experiments, "gee_step", first_step)
+    res = jacobi_validation(name, n_cases=200, seed=5)
+    assert res.max_error < 1e-6
+    assert at_first_step == [{"gee_jacobi_data": 1, "jacobi_norm": 1}]
+    assert calls["gee_jacobi_data"] == calls["jacobi_norm"] == 1
+    field = family.make_field(VALIDATION_EPSILON)
+    rng = np.random.default_rng(5)
+    for got in norms[0]:
+        p = model.point(tuple(float(rng.uniform(lo, hi))
+                              for (lo, hi) in family.validation_box))
+        e = model.tangent(p, rng.normal(size=model.dim))
+        e = model.tangent(p, e.comps / model.norm(e))
+        h = float(rng.uniform(*VALIDATION_H_RANGE))
+        want = point_jacobi_norm(point_gee_jacobi_data(field, p, e, h), 1.0)
+        assert abs(got - want) <= 1e-13 * want

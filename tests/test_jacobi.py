@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 
 from conftest import linear_field, random_points, random_tangent, unit_tangent
 from odes import BatchVariationState, integrate_batch, metric_batch
-from oracles import (ck, coeff_jacobi_norm, jacobi_coeffs, jacobi_eval,
-                     norm_diff, sk)
+from oracles import (JacobiData, ck, coeff_jacobi_norm, jacobi_coeffs,
+                     jacobi_eval, norm_diff, point_gee_jacobi_data,
+                     point_jacobi_norm, sk, variation_data)
 
 import geostab.jacobi as jacobi
 from geostab.errors import DegenerateDirectionError, GeostabError
 from geostab.fields import s2_field
 from geostab.jacobi import (
     GROWTH_KAPPA_CAP,
-    JacobiData,
     SERIES_KAPPA,
     SPLIT_KAPPA,
     CurvatureSign,
@@ -35,9 +35,7 @@ from geostab.jacobi import (
     curvature_penalty,
     curvature_sign,
     f_functions,
-    gee_jacobi_data,
     jacobi_norm,
-    variation_data,
     variation_form,
 )
 from geostab.manifolds import HALF_PLANE, SPHERE2, SPHERE3, Euclidean, Frame
@@ -340,7 +338,7 @@ def test_jacobi_norm_at_zero_is_initial_norm(rng):
     v = random_tangent(SPHERE2, p, rng, scale=1.3)
     w = random_tangent(SPHERE2, p, rng, scale=0.2)
     data = variation_data(v, w, u)
-    assert abs(jacobi_norm(data, 0.0) - 1.3) < 1e-12
+    assert abs(point_jacobi_norm(data, 0.0) - 1.3) < 1e-12
 
 
 SIGNS = st.sampled_from([POS, NEG, ZERO])
@@ -362,41 +360,55 @@ COEFFS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
          dim=2, t=1.0, kappa=38.0)
 def test_jacobi_norm_matches_cosine_sine_coefficients(sign, a, b, dim, t,
                                                       kappa):
-    """|J(t)| read from variation_form equals the norm of the frame
-    coefficients a c(t) + b s(t) to 1e-11 relative, on every branch up
-    to kappa*t = 340, across the series and split switches.  The form
+    """|J(t)| read from variation_form, per case and as the one row of
+    the stacked jacobi_norm of (a, t b, t kappa), equals the norm of the
+    frame coefficients a c(t) + b s(t) to 1e-11 relative, on every branch
+    up to kappa*t = 340, across the series and split switches.  The form
     adds |J(0)|^2 = |a|^2 to a change that may nearly cancel it, so
     |J(t)|^2 is compared relative to |J(t)|^2 + |a|^2 + |t b|^2."""
     data = JacobiData(np.array(a[:dim]), np.array(b[:dim]), kappa, sign)
     want = coeff_jacobi_norm(data, t)
-    got = jacobi_norm(data, t)
     scale = want ** 2 + data.a @ data.a + t * t * (data.b @ data.b)
-    assert abs(got ** 2 - want ** 2) <= 1e-11 * scale
+    for got in (point_jacobi_norm(data, t),
+                jacobi_norm([data.a], [t * data.b], [t * kappa], sign)[0]):
+        assert abs(got ** 2 - want ** 2) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("sign", [POS, NEG, ZERO], ids=["pos", "neg", "zero"])
 def test_jacobi_norm_exact_under_power_of_two_scaling(sign):
     """Scaling a and b by 2^k scales |J(t)| by 2^k exactly, also where
-    the squares of the scaled coefficients leave the double range."""
+    the squares of the scaled coefficients leave the double range, per
+    case and on a stack of every k."""
     a, b = np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -2.0])
-    base = jacobi_norm(JacobiData(a, b, 38.0, sign), 0.7)
-    for k in (-900, -600, -40, 40, 600):
+    base = point_jacobi_norm(JacobiData(a, b, 38.0, sign), 0.7)
+    ks = (-900, -600, -40, 40, 600)
+    for k in ks:
         data = JacobiData(np.ldexp(a, k), np.ldexp(b, k), 38.0, sign)
-        assert jacobi_norm(data, 0.7) == math.ldexp(base, k), k
+        assert point_jacobi_norm(data, 0.7) == math.ldexp(base, k), k
+    rows = np.array([[0]] + [[k] for k in ks])
+    stacked = jacobi_norm(np.ldexp(a, rows), np.ldexp(0.7 * b, rows),
+                          np.full(len(rows), 0.7 * 38.0), sign)
+    assert stacked[1:].tolist() == [math.ldexp(stacked[0], k) for k in ks]
 
 
 def test_jacobi_norm_rejects_the_rescaled_negative_form():
     """Past kappa*t = GROWTH_KAPPA_CAP variation_form is only a positive
-    multiple of the negative-branch form, so no norm is read from it."""
+    multiple of the negative-branch form, so no norm is read from it:
+    per case, and on a stack with one such row."""
     data = JacobiData(np.array([1.0, 0.5]), np.array([0.2, -0.3]), 702.0,
                       NEG)
-    assert math.isfinite(jacobi_norm(data, 0.49))  # kappa*t = 343.98
+    assert math.isfinite(point_jacobi_norm(data, 0.49))  # kappa*t = 343.98
     with pytest.raises(GeostabError):
-        jacobi_norm(data, 0.5)  # kappa*t = 351
+        point_jacobi_norm(data, 0.5)  # kappa*t = 351
     with pytest.raises(GeostabError):
-        jacobi_norm(JacobiData(data.a, data.b, 351.0, NEG), 1.0)
-    assert math.isfinite(jacobi_norm(JacobiData(data.a, data.b, 351.0, POS),
-                                     1.0))
+        point_jacobi_norm(JacobiData(data.a, data.b, 351.0, NEG), 1.0)
+    assert math.isfinite(point_jacobi_norm(
+        JacobiData(data.a, data.b, 351.0, POS), 1.0))
+    a, b = [data.a] * 2, [data.b] * 2
+    assert np.isfinite(jacobi_norm(a, b, [343.98, 1.0], NEG)).all()
+    with pytest.raises(GeostabError):
+        jacobi_norm(a, b, [1.0, 351.0], NEG)
+    assert np.isfinite(jacobi_norm(a, b, [1.0, 351.0], POS)).all()
 
 
 def test_jacobi_eval_in_base_frame(rng):
@@ -584,7 +596,7 @@ def test_jacobi_eval_matches_ode_endpoint(rng):
     assert np.allclose(got.comps, out.jac[0], atol=1e-7)
     g1 = SPHERE2.metric(q)
     ode_norm = math.sqrt(float(out.jac[0] @ g1 @ out.jac[0]))
-    assert abs(jacobi_norm(data, 1.0) - ode_norm) < 1e-8
+    assert abs(point_jacobi_norm(data, 1.0) - ode_norm) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +609,7 @@ def test_gee_jacobi_data_contents(rng):
     p = SPHERE2.point([0.5, 2.0])
     e = unit_tangent(SPHERE2, p, rng)
     h = 0.3
-    data = gee_jacobi_data(field, p, e, h)
+    data = point_gee_jacobi_data(field, p, e, h)
     E = SPHERE2.frame(p, SPHERE2.tangent(p, h * field.eval(p).comps)).matrix
     g = SPHERE2.metric(p)
     A = field.covariant_matrix(p)
@@ -605,7 +617,7 @@ def test_gee_jacobi_data_contents(rng):
     assert np.allclose(data.b, E.T @ g @ (h * (A @ e.comps)), atol=1e-13)
     assert abs(data.kappa - h * field.norm_at(p)) < 1e-13
     assert data.sign is POS
-    assert abs(jacobi_norm(data, 0.0) - 1.0) < 1e-12
+    assert abs(point_jacobi_norm(data, 0.0) - 1.0) < 1e-12
 
 
 def test_gee_jacobi_data_rejects_stationary_point(rng):
@@ -615,4 +627,4 @@ def test_gee_jacobi_data_rejects_stationary_point(rng):
     origin = e2.point([0.0, 0.0])
     e = e2.tangent(origin, [1.0, 0.0])
     with pytest.raises(StationaryPointError):
-        gee_jacobi_data(field, origin, e, 0.1)
+        point_gee_jacobi_data(field, origin, e, 0.1)
