@@ -153,30 +153,33 @@ def _drain(items) -> tuple:
     return out, None
 
 
+def _chart(field, manifold, coords):
+    """(g, A, X, |X|) of field at an (n, d) coordinate stack, X read
+    once; |X| has the bits of ManifoldModel.norm."""
+    X, g = field.components(coords), manifold.metrics(coords)
+    return (g, field._covariant(coords, X), X,
+            np.sqrt(np.maximum(_quad(X, g, X), 0.0)))
+
+
 def _constant_rows(fields, manifold, points):
     """Yield (p, alpha, mu_plus, mu_minus, sigma, |X|, g, A, X) at each of
-    points for each of fields in turn, from one stacked chart call per
-    field and one _stacked_rows call.  A row's exception comes at its
-    row, and a chart call's (at the first row that raises alone) or the
-    points' after the rows before it."""
-    def chart(field, c):
-        X = field.components(c)
-        return manifold.metrics(c), field._covariant(c, X), X
-
+    points for each of fields in turn, from one _chart call per field
+    and one _stacked_rows call.  A row's exception comes at its row, and
+    a chart call's (at the first row that raises alone) or the points'
+    after the rows before it."""
     pts, failure = _drain(points)
     coords = np.array([p.coords for p in pts])
-    fields = fields if failure is None else fields[:1]
-    stacks, exc = _drain(chart(f, coords) for f in (fields if pts else []))
+    fields = (fields if failure is None else fields[:1]) if pts else []
+    stacks, exc = _drain(_chart(f, manifold, coords) for f in fields)
     if exc is not None:  # that field's rows up to the first raising alone
-        ones, one_exc = _drain(chart(fields[len(stacks)], coords[i:i + 1])
-                               for i in range(len(pts)))
+        ones, one_exc = _drain(_chart(fields[len(stacks)], manifold, c[None])
+                               for c in coords)
         stacks += [[np.concatenate(col) for col in zip(*ones)]] if ones else []
         failure = exc if one_exc is None else one_exc
     if stacks:
-        g, A, X = (np.concatenate(col) for col in zip(*stacks))
+        g, A, X, norms = (np.concatenate(col) for col in zip(*stacks))
         vals, errors = _stacked_rows(g, A, X)
-        norms = np.sqrt(np.maximum(_quad(X, g, X), 0.0))
-        rows = (p for *_, x in stacks for p in pts[:len(x)])
+        rows = (p for *_, x_norm in stacks for p in pts[:len(x_norm)])
         for i, p in enumerate(rows):
             if i in errors:
                 raise errors[i]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import (BoundResult, _bisect_rows, _positive_rows,
                      bound_negative, bound_singular)
-from .constants import _aggregate, _constant_rows, _drain
+from .constants import _aggregate, _chart, _constant_rows, _drain
 from .errors import BracketError, GeostabError, InconsistentConstantsError
 from .fields import (FieldModel, h2_field, h2_singular_field, s2_field,
                      s3_field)
@@ -441,8 +441,8 @@ def jacobi_validation(example: str, n_cases: int,
     Draws a random base point inside a chart-safe box, a random unit
     direction e and a step h in VALIDATION_H_RANGE per case, with the
     field at VALIDATION_EPSILON.  |J(1)| of all cases comes from one
-    stacked chart call and one gee_jacobi_data call, the data
-    numerical_hmax bisects: jacobi_norm(ξ, h N ξ, h scale), ξ = Eᵀ g e.
+    _chart call and one gee_jacobi_data call, the data numerical_hmax
+    bisects: jacobi_norm(ξ, h N ξ, h scale), ξ = Eᵀ g e.
     Each case compares it with a central difference through actual steps:
     the base point is moved to exp_p(±Δ e), Δ = VALIDATION_DELTA, both
     neighbours are stepped, and the derivative is formed from the inverse
@@ -461,10 +461,9 @@ def jacobi_validation(example: str, n_cases: int,
             *VALIDATION_H_RANGE)
     errs = np.zeros(n_cases)
     if n_cases:
-        coords = np.array([p.coords for p in points])
-        X, g = field.components(coords), model.metrics(coords)
-        E, N, scale = gee_jacobi_data(model, np.sqrt(_quad(X, g, X)), g,
-                                      field._covariant(coords, X), X)
+        g, A, X, x_norm = _chart(field, model,
+                                 np.array([p.coords for p in points]))
+        E, N, scale = gee_jacobi_data(model, x_norm, g, A, X)
         e = raw / np.sqrt(_quad(raw, g, raw))[:, None]
         xi = (_T(E) @ g @ e[:, :, None])[:, :, 0]
         closed = jacobi_norm(xi, h[:, None] * (N @ xi[:, :, None])[:, :, 0],

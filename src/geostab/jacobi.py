@@ -281,20 +281,18 @@ def variation_form(a, b, kappa, sign: CurvatureSign):
 
 def jacobi_norm(a, b, kappa, sign: CurvatureSign) -> np.ndarray:
     """|J(1)| = sqrt(|a|^2 + variation_form(a, b, kappa)) at each row of
-    the (n, d) stacks a, b and (n,) kappa, in one variation_form call,
-    each row first scaled exactly by the power of two that brings its
-    largest entry into [0.5, 1).  Raises GeostabError on negative
-    curvature past GROWTH_KAPPA_CAP, where the form is only rescaled.
-    Near a zero of J(1) an absolute error of √(machine ε)·|a| is left."""
+    the (n, d) stacks a, b and (n,) kappa, in one variation_form call.
+    The squares of the entries must stay in the normal double range
+    (no rescaling is done).  Raises GeostabError on negative curvature
+    past GROWTH_KAPPA_CAP, where the form is only rescaled.  Near a zero
+    of J(1) an absolute error of √(machine ε)·|a| is left."""
     a, b, kappa = (np.asarray(x, dtype=float) for x in (a, b, kappa))
     if sign is CurvatureSign.NEGATIVE and np.any(kappa > GROWTH_KAPPA_CAP):
         raise GeostabError(f"no |J(1)| past kappa = {GROWTH_KAPPA_CAP:g} "
                            f"on negative curvature (got {kappa.max():.6g})")
-    exp = np.frexp(np.abs(np.hstack([a, b])).max(axis=1, initial=0.0))[1]
-    a, b = np.ldexp(a, -exp[:, None]), np.ldexp(b, -exp[:, None])
     change = variation_form(a[:, :, None], b[:, :, None], kappa, sign)
     square = (a[:, None, :] @ a[:, :, None] + change)[:, 0, 0]
-    return np.ldexp(np.sqrt(np.maximum(square, 0.0)), exp)
+    return np.sqrt(np.maximum(square, 0.0))
 
 
 def gee_jacobi_data(manifold, x_norm, g, A, X):
